@@ -18,21 +18,17 @@
 // diluted; the checked-in BENCH_attention.json captures one JSON run.
 
 // The *Inference* benchmarks compare serving-mode forwards (no grad
-// recording, fused lowering) across the three scoring backends: fp32 on
-// the scalar reference kernels, fp32 on the runtime-dispatched SIMD
-// kernels, and the dynamic int8 path (quantized projection GEMMs, fp32
-// attention core) — the fp32-vs-SIMD-vs-int8 rows of BENCH_attention.json.
+// recording, fused lowering) on the scalar reference kernels and on the
+// runtime-dispatched SIMD kernels — the scalar-vs-SIMD rows of
+// BENCH_attention.json.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <memory>
-#include <optional>
 
 #include "core/iaab.h"
 #include "core/relation.h"
 #include "nn/attention.h"
-#include "quant/quant.h"
 #include "tensor/kernels.h"
 
 namespace stisan::core {
@@ -218,8 +214,8 @@ void BM_AttentionOpFusedTrainStep(benchmark::State& state) {
 BENCHMARK(BM_AttentionOpFusedTrainStep)->Arg(32)->Arg(64)->Arg(128);
 
 // Serving-mode CausalSelfAttention forward (projections + fused core,
-// no grad recording) on the scalar fp32, SIMD fp32 and int8 backends.
-void RunInferenceBackend(benchmark::State& state, int simd_mode, bool int8) {
+// no grad recording) on the scalar or SIMD fp32 backend.
+void RunInferenceBackend(benchmark::State& state, int simd_mode) {
   const int64_t n = state.range(0);
   const int64_t d = 64;
   kernels::SetSimdEnabledForTesting(simd_mode);
@@ -228,13 +224,9 @@ void RunInferenceBackend(benchmark::State& state, int simd_mode, bool int8) {
   nn::CausalSelfAttention attn(d, /*dropout=*/0.0f, rng, /*causal=*/true,
                                /*identity_init_values=*/false, /*heads=*/1);
   attn.SetTraining(false);
-  std::unique_ptr<quant::QuantizedModel> qm;
-  if (int8) qm = std::make_unique<quant::QuantizedModel>(attn);
   Tensor bias = SoftmaxScaleRelation(Tensor::Zeros({n, n}), 0);
   {
     NoGradGuard no_grad;
-    std::optional<quant::ScopedInt8> guard;
-    if (int8) guard.emplace();
     for (auto _ : state) {
       Tensor x = Tensor::Randn({n, d}, rng);
       Tensor out = attn.Forward(x, bias, rng);
@@ -246,19 +238,14 @@ void RunInferenceBackend(benchmark::State& state, int simd_mode, bool int8) {
 }
 
 void BM_InferenceAttentionFp32Scalar(benchmark::State& state) {
-  RunInferenceBackend(state, /*simd_mode=*/0, /*int8=*/false);
+  RunInferenceBackend(state, /*simd_mode=*/0);
 }
 BENCHMARK(BM_InferenceAttentionFp32Scalar)->Arg(32)->Arg(100)->Arg(128);
 
 void BM_InferenceAttentionFp32Simd(benchmark::State& state) {
-  RunInferenceBackend(state, /*simd_mode=*/1, /*int8=*/false);
+  RunInferenceBackend(state, /*simd_mode=*/1);
 }
 BENCHMARK(BM_InferenceAttentionFp32Simd)->Arg(32)->Arg(100)->Arg(128);
-
-void BM_InferenceAttentionInt8(benchmark::State& state) {
-  RunInferenceBackend(state, /*simd_mode=*/1, /*int8=*/true);
-}
-BENCHMARK(BM_InferenceAttentionInt8)->Arg(32)->Arg(100)->Arg(128);
 
 void BM_RelationMatrixBuild(benchmark::State& state) {
   const int64_t n = state.range(0);

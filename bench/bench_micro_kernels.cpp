@@ -1,9 +1,7 @@
 // Microbenchmarks for the raw CPU kernels behind the encoder: Gemm,
 // SoftmaxRows and LayerNormRows at the serving shapes (rows n in
 // {32, 100, 128}, feature dim d in {50, 64}), each pinned to the scalar
-// reference and to the runtime-dispatched SIMD backend, plus the dynamic
-// int8 GEMM (quantize activations + int8 dot + dequantize — the exact
-// work the quant hook does per Linear forward) against fp32.
+// reference and to the runtime-dispatched SIMD backend.
 //
 // Emit machine-readable results with:
 //   ./bench_micro_kernels --benchmark_format=json
@@ -21,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "quant/int8_gemm.h"
 #include "tensor/kernels.h"
 #include "util/rng.h"
 
@@ -106,38 +103,6 @@ void BM_LayerNormRowsSimd(benchmark::State& state) {
   RunLayerNormRows(state, 1);
 }
 BENCHMARK(BM_LayerNormRowsSimd) STISAN_KERNEL_SHAPES;
-
-// The dynamic int8 path exactly as the MatMul hook runs it per call:
-// quantize the activation rows, int8 dot against the pre-transposed
-// weight, dequantize with the per-row x per-channel scale product. The
-// weight-side quantization is NOT in the loop — it happens once at
-// QuantizedModel construction.
-void BM_Int8GemmDynamic(benchmark::State& state) {
-  const int64_t n = state.range(0), d = state.range(1);
-  const auto a = RandomVec(static_cast<size_t>(n * d), 7);
-  const auto w = RandomVec(static_cast<size_t>(d * d), 8);
-  // Offline weight prep (transposed [cols, rows] + per-channel scales).
-  std::vector<float> wt(static_cast<size_t>(d * d));
-  for (int64_t i = 0; i < d; ++i)
-    for (int64_t j = 0; j < d; ++j)
-      wt[static_cast<size_t>(j * d + i)] = w[static_cast<size_t>(i * d + j)];
-  std::vector<int8_t> wq(wt.size());
-  std::vector<float> wscale(static_cast<size_t>(d));
-  quant::QuantizeRowsSymmetric(wt.data(), wq.data(), wscale.data(), d, d);
-
-  std::vector<int8_t> aq(a.size());
-  std::vector<float> ascale(static_cast<size_t>(n));
-  std::vector<float> c(static_cast<size_t>(n * d));
-  for (auto _ : state) {
-    quant::QuantizeRowsSymmetric(a.data(), aq.data(), ascale.data(), n, d);
-    quant::Int8GemmDequant(aq.data(), ascale.data(), wq.data(), wscale.data(),
-                           c.data(), n, d, d);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["flops"] = benchmark::Counter(
-      static_cast<double>(2 * n * d * d), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Int8GemmDynamic) STISAN_KERNEL_SHAPES;
 
 }  // namespace
 }  // namespace stisan

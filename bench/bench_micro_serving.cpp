@@ -173,43 +173,6 @@ void BM_ServicePumpAppendScore(benchmark::State& state) {
 }
 BENCHMARK(BM_ServicePumpAppendScore)->Arg(100);
 
-// The same pump-mode service with ServeOptions.use_int8: every incremental
-// append/score runs through the quantized GEMM/gather hooks. Compared
-// against BM_ServicePumpAppendScore this is the serving cost (or win) of
-// the int8 path at the paper's serving shape — the int8 row of
-// BENCH_serving.json.
-void BM_ServicePumpAppendScoreInt8(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  static ServingFixture* fx = new ServingFixture(512);
-  serve::ServeOptions so;
-  so.max_seq_len = n + kReps;
-  so.start_worker = false;
-  so.use_int8 = true;
-  std::vector<double> lat_us;
-  int64_t user = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    serve::RecommendService service(&fx->model, so);
-    ++user;  // fresh session per iteration
-    for (int64_t i = 0; i < n; ++i) {
-      service.Append(user, fx->pois[i], fx->timestamps[i]);
-    }
-    (void)service.Score(user, fx->candidates);  // warm cache to length n
-    state.ResumeTiming();
-    for (int64_t r = 0; r < kReps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      service.Append(user, fx->pois[n + r], fx->timestamps[n + r]);
-      auto result = service.Score(user, fx->candidates);
-      benchmark::DoNotOptimize(result.scores.data());
-      lat_us.push_back(std::chrono::duration<double, std::micro>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count());
-    }
-  }
-  ReportLatencies(state, lat_us);
-}
-BENCHMARK(BM_ServicePumpAppendScoreInt8)->Arg(100);
-
 // The same service path with the full overload-safety machinery armed —
 // request validation (num_pois bound), bounded-queue admission
 // accounting, per-request deadline bookkeeping and the stale-serve tier

@@ -127,7 +127,7 @@ struct RelationKeyHash {
 };
 
 // ~256 distinct windows cover the training sets this repo trains on; the
-// leaked singleton avoids static-destruction races with arena teardown.
+// leaked singleton avoids static-destruction order races.
 // Hit/miss counts are polled by obs snapshots through callback gauges, so
 // the lookup path pays no extra increment.
 LruCache<RelationKey, Tensor, RelationKeyHash>& RelationCache() {

@@ -53,7 +53,7 @@ struct PositionsKeyHash {
 };
 
 LruCache<PositionsKey, Tensor, PositionsKeyHash>& TapeCache() {
-  // Leaked: see RelationCache() — outlives arena/static teardown. The
+  // Leaked: see RelationCache() — outlives static teardown. The
   // snapshot layer polls the cache's own counters lazily instead of paying
   // a second increment on the lookup path.
   static auto* cache = [] {

@@ -4,8 +4,6 @@
 #include <unordered_set>
 
 #include "obs/metrics.h"
-#include "plan/plan.h"
-#include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -64,11 +62,6 @@ MetricAccumulator Evaluate(BatchScorer& scorer,
                            const EvalOptions& options) {
   OBS_SCOPED_TIMER("eval/run");
   MetricAccumulator acc(options.cutoffs);
-  // Batch k+1 reuses the activation buffers batch k freed (STISAN_ARENA=1).
-  arena::Scope arena_scope;
-  // Fixed-shape eval batches replay the first batch's captured tape (shares
-  // an enclosing plan scope — e.g. the trainer's — when one is active).
-  plan::Scope plan_scope;
   const int64_t total = static_cast<int64_t>(test.size());
   const int64_t batch_size = std::max<int64_t>(1, options.batch_size);
   ThreadPool& pool = kernels::GlobalPool();
@@ -99,7 +92,6 @@ MetricAccumulator Evaluate(BatchScorer& scorer,
     std::vector<std::vector<float>> scores;
     {
       OBS_SCOPED_TIMER("eval/score_batch");
-      plan::StepScope plan_step;  // one scored batch = one plan step
       scores = scorer.ScoreBatch(batch, cand);
     }
     STISAN_CHECK_EQ(static_cast<int64_t>(scores.size()), size);

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "plan/plan.h"
-
 namespace stisan::nn {
 
 Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias,
@@ -27,10 +25,7 @@ Tensor Linear::Forward(const Tensor& x) const {
 Tensor Linear::ForwardRelu(const Tensor& x) const {
   STISAN_CHECK_EQ(x.shape().back(), in_features_);
   Tensor out = ops::MatMul(x, weight_);
-  if (bias_.defined()) {
-    if (plan::FusionEnabled()) return ops::FusedBiasRelu(out, bias_);
-    out = out + bias_;
-  }
+  if (bias_.defined()) return ops::FusedBiasRelu(out, bias_);
   return ops::Relu(out);
 }
 
@@ -62,10 +57,7 @@ Tensor LayerNorm::Forward(const Tensor& x) const {
 
 Tensor LayerNorm::ForwardResidual(const Tensor& base,
                                   const Tensor& residual) const {
-  if (plan::FusionEnabled()) {
-    return ops::FusedResidualLayerNorm(base, residual, gamma_, beta_, eps_);
-  }
-  return Forward(base + residual);
+  return ops::FusedResidualLayerNorm(base, residual, gamma_, beta_, eps_);
 }
 
 PointwiseFeedForward::PointwiseFeedForward(int64_t dim, int64_t hidden_dim,

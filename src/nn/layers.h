@@ -22,9 +22,8 @@ class Linear : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
-  /// relu(Forward(x)): lowers through ops::FusedBiasRelu (one node) when
-  /// plan::FusionEnabled(), otherwise the composed MatMul + Add + Relu
-  /// chain. Both paths are bit-identical.
+  /// relu(Forward(x)): the bias add and relu lower through
+  /// ops::FusedBiasRelu (one node, bit-identical to the composed chain).
   Tensor ForwardRelu(const Tensor& x) const;
 
   int64_t in_features() const { return in_features_; }
@@ -63,8 +62,7 @@ class LayerNorm : public Module {
   Tensor Forward(const Tensor& x) const;
 
   /// Forward(base + residual): lowers through ops::FusedResidualLayerNorm
-  /// (one node) when plan::FusionEnabled(), otherwise the composed Add +
-  /// LayerNorm chain. Both paths are bit-identical.
+  /// (one node, bit-identical to the composed Add + LayerNorm chain).
   Tensor ForwardResidual(const Tensor& base, const Tensor& residual) const;
 
  private:

@@ -16,7 +16,7 @@
 //    values never influence control flow — golden metrics and checkpoint
 //    bytes are bit-identical with observability on, at any thread count.
 //  - Callback gauges let subsystems with their own internal counters
-//    (arena::Stats, LruCache hit/miss, ThreadPool task counts) be polled
+//    (LruCache hit/miss, ThreadPool task counts) be polled
 //    lazily at snapshot time instead of double-counting on the hot path.
 //
 // Trace spans: OBS_SCOPED_TIMER("train/epoch") records the enclosing
@@ -106,7 +106,7 @@ Histogram& GetHistogram(const std::string& name,
 
 /// Registers a gauge whose value is computed by `fn` at snapshot time.
 /// Re-registering a name replaces the callback. Used by subsystems that
-/// already keep internal counters (caches, arena, thread pool).
+/// already keep internal counters (caches, thread pool).
 void RegisterCallbackGauge(const std::string& name,
                            std::function<double()> fn);
 

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <utility>
 
 #include "core/stisan.h"
-#include "nn/module.h"
 #include "obs/metrics.h"
-#include "quant/quant.h"
 #include "util/check.h"
 
 namespace stisan::serve {
@@ -72,11 +69,6 @@ RecommendService::RecommendService(models::SequentialRecommender* model,
   if (auto* stisan = dynamic_cast<core::StisanModel*>(model)) {
     engine_ = std::make_unique<core::IncrementalScorer>(stisan,
                                                         options_.max_seq_len);
-  }
-  if (options_.use_int8) {
-    if (auto* module = dynamic_cast<nn::Module*>(model)) {
-      quant_model_ = std::make_unique<quant::QuantizedModel>(*module);
-    }
   }
   if (options_.poi_coords != nullptr) {
     STISAN_CHECK_GE(options_.catalog_pool_size, 1);
@@ -593,11 +585,6 @@ bool RecommendService::GenerateCatalogPool(Op& op, const Session& session) {
 }
 
 void RecommendService::Process(std::vector<Op> ops) {
-  // All scoring paths below (incremental, fallback batch, stale serves,
-  // and the cache syncs that feed them) run on this thread, so one scoped
-  // flag quantizes the whole service when opted in.
-  std::optional<quant::ScopedInt8> int8_guard;
-  if (quant_model_ != nullptr) int8_guard.emplace();
   ServeMetrics& m = Metrics();
   if (options_.fault_injector != nullptr) {
     options_.fault_injector->OnBatchDequeued();

@@ -74,10 +74,6 @@
 #include "serve/session_store.h"
 #include "util/status.h"
 
-namespace stisan::quant {
-class QuantizedModel;
-}
-
 namespace stisan::serve {
 
 /// What to do with a new op when the queue is at max_queue.
@@ -128,14 +124,6 @@ struct ServeOptions {
   /// Test-only fault hooks (see fault_injector.h); must outlive the
   /// service. nullptr in production.
   ServeFaultInjector* fault_injector = nullptr;
-  /// Opt-in post-training int8 scoring: the service quantizes the model's
-  /// weights at construction (src/quant) and every scoring path —
-  /// incremental, fallback batch, and stale serves — runs with int8 GEMMs
-  /// and embedding gathers. Scores stay deterministic and the per-user
-  /// bit-identity contract holds *within* the int8 path, but scores are
-  /// not bit-identical to fp32 serving (see DESIGN.md §16). Ignored for
-  /// models that are not nn::Modules.
-  bool use_int8 = false;
   /// Opt-in "rank the whole city" requests (RankCatalogAsync; DESIGN.md
   /// §17): POI coordinates indexed by id, entry 0 = the padding POI —
   /// i.e. Dataset::poi_coords. Must outlive the service. nullptr (the
@@ -247,8 +235,6 @@ class RecommendService {
   const ServeOptions& options() const { return options_; }
   /// True when the model supports the incremental path.
   bool incremental() const { return engine_ != nullptr; }
-  /// True when scoring runs through the quantized int8 path.
-  bool int8() const { return quant_model_ != nullptr; }
 
  private:
   enum class OpKind { kAppend, kScore, kEvict };
@@ -299,7 +285,6 @@ class RecommendService {
   models::SequentialRecommender* model_;
   ServeOptions options_;
   std::unique_ptr<core::IncrementalScorer> engine_;
-  std::unique_ptr<quant::QuantizedModel> quant_model_;
   SessionStore store_;
   /// Catalog ranking stage one (built iff options.poi_coords is set);
   /// index id = poi - 1. Only the single worker (or Pump caller) touches

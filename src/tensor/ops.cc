@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "plan/plan.h"
-#include "tensor/arena.h"
 #include "tensor/kernels.h"
 
 namespace stisan {
@@ -17,30 +15,23 @@ namespace {
 using internal::TensorImpl;
 using internal::TensorImplPtr;
 
-// Int8 inference hooks, installed once by the quant subsystem (see ops.h).
-std::atomic<Int8GemmHook> g_int8_gemm_hook{nullptr};
-std::atomic<Int8GatherHook> g_int8_gather_hook{nullptr};
-
 // Creates a result node wired to its parents. The backward function is only
 // attached when grad recording is on and at least one parent needs grads.
 // The node owns fresh dense storage.
-Tensor MakeNode(const char* kind, Shape shape,
-                std::vector<TensorImplPtr> parents,
+Tensor MakeNode(Shape shape, std::vector<TensorImplPtr> parents,
                 std::function<void(TensorImpl&)> backward) {
   auto impl = std::make_shared<TensorImpl>();
   const int64_t n = NumElements(shape);
   impl->strides = ContiguousStrides(shape);
   impl->shape = std::move(shape);
   impl->storage = std::make_shared<internal::Storage>();
-  impl->storage->data = arena::AcquireZeroed(static_cast<size_t>(n));
+  impl->storage->data.assign(static_cast<size_t>(n), 0.0f);
   bool needs = false;
   if (internal::GradEnabled()) {
     for (const auto& p : parents)
       if (p && p->requires_grad) needs = true;
   }
   impl->requires_grad = needs;
-  plan::OnNodeCreated(impl.get(), kind, parents.data(), parents.size(),
-                      /*is_view=*/false);
   if (needs) {
     impl->parents = std::move(parents);
     impl->backward_fn = std::move(backward);
@@ -52,7 +43,7 @@ Tensor MakeNode(const char* kind, Shape shape,
 // grad-transparent: their grad region aliases the base's, so they carry a
 // parent edge (to keep the base reachable in the topological sweep) but no
 // backward function.
-Tensor MakeView(const char* kind, const TensorImplPtr& base, Shape shape,
+Tensor MakeView(const TensorImplPtr& base, Shape shape,
                 std::vector<int64_t> strides, int64_t offset) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
@@ -60,7 +51,6 @@ Tensor MakeView(const char* kind, const TensorImplPtr& base, Shape shape,
   impl->offset = offset;
   impl->storage = base->storage;
   impl->requires_grad = base->requires_grad && internal::GradEnabled();
-  plan::OnNodeCreated(impl.get(), kind, &base, 1, /*is_view=*/true);
   if (impl->requires_grad) impl->parents = {base};
   return Tensor(std::move(impl));
 }
@@ -161,8 +151,8 @@ bool IsTrailingVector(const Shape& a, const Shape& b) {
 // Generic elementwise binary op with fwd(a_val, b_val) and backward partials
 // dfa(g, a, b, out) / dfb(g, a, b, out) evaluated per element.
 template <typename Fwd, typename DA, typename DB>
-Tensor BinaryOp(const char* kind, const Tensor& a_in, const Tensor& b_in,
-                Fwd fwd, DA dfa, DB dfb) {
+Tensor BinaryOp(const Tensor& a_in, const Tensor& b_in, Fwd fwd, DA dfa,
+                DB dfb) {
   STISAN_CHECK(a_in.defined() && b_in.defined());
   const Tensor a = Contiguous(a_in);
   const Tensor b = Contiguous(b_in);
@@ -170,7 +160,7 @@ Tensor BinaryOp(const char* kind, const Tensor& a_in, const Tensor& b_in,
   auto ai = a.impl();
   auto bi = b.impl();
   Tensor out = MakeNode(
-      kind, out_shape, {ai, bi},
+      out_shape, {ai, bi},
       [ai, bi, dfa, dfb, out_shape](TensorImpl& self) {
         const bool need_a = ai->requires_grad;
         const bool need_b = bi->requires_grad;
@@ -236,11 +226,11 @@ Tensor BinaryOp(const char* kind, const Tensor& a_in, const Tensor& b_in,
 
 // Generic elementwise unary op.
 template <typename Fwd, typename Bwd>
-Tensor UnaryOp(const char* kind, const Tensor& a_in, Fwd fwd, Bwd bwd) {
+Tensor UnaryOp(const Tensor& a_in, Fwd fwd, Bwd bwd) {
   STISAN_CHECK(a_in.defined());
   const Tensor a = Contiguous(a_in);
   auto ai = a.impl();
-  Tensor out = MakeNode(kind, a.shape(), {ai}, [ai, bwd](TensorImpl& self) {
+  Tensor out = MakeNode(a.shape(), {ai}, [ai, bwd](TensorImpl& self) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     const float* sg = self.Grad();
@@ -288,7 +278,7 @@ Tensor Contiguous(const Tensor& a) {
   const std::vector<int64_t> strides = ai->strides;
   const int64_t offset = ai->offset;
   Tensor out = MakeNode(
-      "contiguous", shape, {ai}, [ai, shape, strides, offset](TensorImpl& self) {
+      shape, {ai}, [ai, shape, strides, offset](TensorImpl& self) {
         if (!ai->requires_grad) return;
         ai->EnsureGrad();
         // Scatter-accumulate the dense grad back through the view's strides
@@ -313,28 +303,28 @@ Tensor Contiguous(const Tensor& a) {
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   return BinaryOp(
-      "add", a, b, [](float x, float y) { return x + y; },
+      a, b, [](float x, float y) { return x + y; },
       [](float g, float, float, float) { return g; },
       [](float g, float, float, float) { return g; });
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   return BinaryOp(
-      "sub", a, b, [](float x, float y) { return x - y; },
+      a, b, [](float x, float y) { return x - y; },
       [](float g, float, float, float) { return g; },
       [](float g, float, float, float) { return -g; });
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOp(
-      "mul", a, b, [](float x, float y) { return x * y; },
+      a, b, [](float x, float y) { return x * y; },
       [](float g, float, float y, float) { return g * y; },
       [](float g, float x, float, float) { return g * x; });
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
   return BinaryOp(
-      "div", a, b, [](float x, float y) { return x / y; },
+      a, b, [](float x, float y) { return x / y; },
       [](float g, float, float y, float) { return g / y; },
       [](float g, float x, float y, float) { return -g * x / (y * y); });
 }
@@ -343,13 +333,13 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 
 Tensor AddScalar(const Tensor& a, float s) {
   return UnaryOp(
-      "add_s", a, [s](float x) { return x + s; },
+      a, [s](float x) { return x + s; },
       [](float g, float, float) { return g; });
 }
 
 Tensor MulScalar(const Tensor& a, float s) {
   return UnaryOp(
-      "mul_s", a, [s](float x) { return x * s; },
+      a, [s](float x) { return x * s; },
       [s](float g, float, float) { return g * s; });
 }
 
@@ -359,13 +349,13 @@ Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
 Tensor Relu(const Tensor& a) {
   return UnaryOp(
-      "relu", a, [](float x) { return x > 0.0f ? x : 0.0f; },
+      a, [](float x) { return x > 0.0f ? x : 0.0f; },
       [](float g, float x, float) { return x > 0.0f ? g : 0.0f; });
 }
 
 Tensor Sigmoid(const Tensor& a) {
   return UnaryOp(
-      "sigmoid", a,
+      a,
       [](float x) {
         return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
                          : std::exp(x) / (1.0f + std::exp(x));
@@ -375,49 +365,49 @@ Tensor Sigmoid(const Tensor& a) {
 
 Tensor Tanh(const Tensor& a) {
   return UnaryOp(
-      "tanh", a, [](float x) { return std::tanh(x); },
+      a, [](float x) { return std::tanh(x); },
       [](float g, float, float y) { return g * (1.0f - y * y); });
 }
 
 Tensor Exp(const Tensor& a) {
   return UnaryOp(
-      "exp", a, [](float x) { return std::exp(x); },
+      a, [](float x) { return std::exp(x); },
       [](float g, float, float y) { return g * y; });
 }
 
 Tensor Log(const Tensor& a) {
   return UnaryOp(
-      "log", a, [](float x) { return std::log(std::max(x, 1e-12f)); },
+      a, [](float x) { return std::log(std::max(x, 1e-12f)); },
       [](float g, float x, float) { return g / std::max(x, 1e-12f); });
 }
 
 Tensor Sqrt(const Tensor& a) {
   return UnaryOp(
-      "sqrt", a, [](float x) { return std::sqrt(x); },
+      a, [](float x) { return std::sqrt(x); },
       [](float g, float, float y) { return 0.5f * g / std::max(y, 1e-12f); });
 }
 
 Tensor Square(const Tensor& a) {
   return UnaryOp(
-      "square", a, [](float x) { return x * x; },
+      a, [](float x) { return x * x; },
       [](float g, float x, float) { return 2.0f * g * x; });
 }
 
 Tensor Sin(const Tensor& a) {
   return UnaryOp(
-      "sin", a, [](float x) { return std::sin(x); },
+      a, [](float x) { return std::sin(x); },
       [](float g, float x, float) { return g * std::cos(x); });
 }
 
 Tensor Cos(const Tensor& a) {
   return UnaryOp(
-      "cos", a, [](float x) { return std::cos(x); },
+      a, [](float x) { return std::cos(x); },
       [](float g, float x, float) { return -g * std::sin(x); });
 }
 
 Tensor Softplus(const Tensor& a) {
   return UnaryOp(
-      "softplus", a,
+      a,
       [](float x) {
         // log(1 + e^x) = max(x, 0) + log1p(e^{-|x|})
         return std::max(x, 0.0f) + std::log1p(std::exp(-std::fabs(x)));
@@ -431,7 +421,7 @@ Tensor Softplus(const Tensor& a) {
 
 Tensor Abs(const Tensor& a) {
   return UnaryOp(
-      "abs", a, [](float x) { return std::fabs(x); },
+      a, [](float x) { return std::fabs(x); },
       [](float g, float x, float) {
         return x > 0.0f ? g : (x < 0.0f ? -g : 0.0f);
       });
@@ -440,7 +430,7 @@ Tensor Abs(const Tensor& a) {
 Tensor Clamp(const Tensor& a, float lo, float hi) {
   STISAN_CHECK_LE(lo, hi);
   return UnaryOp(
-      "clamp", a, [lo, hi](float x) { return std::min(hi, std::max(lo, x)); },
+      a, [lo, hi](float x) { return std::min(hi, std::max(lo, x)); },
       [lo, hi](float g, float x, float) {
         return (x >= lo && x <= hi) ? g : 0.0f;
       });
@@ -448,7 +438,7 @@ Tensor Clamp(const Tensor& a, float lo, float hi) {
 
 Tensor PowScalar(const Tensor& a, float exponent) {
   return UnaryOp(
-      "pow_s", a, [exponent](float x) { return std::pow(x, exponent); },
+      a, [exponent](float x) { return std::pow(x, exponent); },
       [exponent](float g, float x, float) {
         return g * exponent * std::pow(x, exponent - 1.0f);
       });
@@ -456,7 +446,7 @@ Tensor PowScalar(const Tensor& a, float exponent) {
 
 Tensor LogSigmoid(const Tensor& a) {
   return UnaryOp(
-      "logsigmoid", a,
+      a,
       [](float x) {
         // log sigmoid(x) = -softplus(-x)
         return -(std::max(-x, 0.0f) + std::log1p(std::exp(-std::fabs(x))));
@@ -487,8 +477,7 @@ Tensor MatMul(const Tensor& a_in, const Tensor& b_in) {
     if (!b_in.IsContiguous() && IsTransposed2DView(*b_in.impl())) {
       auto bi = b_in.impl();
       Tensor out =
-          MakeNode("matmul_tb", {m, n}, {ai, bi},
-                   [ai, bi, m, k, n](TensorImpl& self) {
+          MakeNode({m, n}, {ai, bi}, [ai, bi, m, k, n](TensorImpl& self) {
             if (ai->requires_grad) {
               ai->EnsureGrad();
               // dA = G x Base, with Base the dense [n,k] block.
@@ -510,8 +499,7 @@ Tensor MatMul(const Tensor& a_in, const Tensor& b_in) {
     const Tensor b = Contiguous(b_in);
     auto bi = b.impl();
     Tensor out2d =
-        MakeNode("matmul", {m, n}, {ai, bi},
-                 [ai, bi, m, k, n](TensorImpl& self) {
+        MakeNode({m, n}, {ai, bi}, [ai, bi, m, k, n](TensorImpl& self) {
           if (ai->requires_grad) {
             ai->EnsureGrad();
             kernels::Gemm(self.Grad(), bi->Data(), ai->Grad(), m, n, k, false,
@@ -523,16 +511,8 @@ Tensor MatMul(const Tensor& a_in, const Tensor& b_in) {
                           false, true);  // dB = A^T x G
           }
         });
-    // Int8 path: when the quant subsystem has registered b's storage as a
-    // frozen weight and int8 scoring is active, the hook computes the
-    // (dequantized) product itself and the fp32 GEMM is skipped.
-    const Int8GemmHook gemm_hook =
-        g_int8_gemm_hook.load(std::memory_order_acquire);
-    if (gemm_hook == nullptr ||
-        !gemm_hook(ai->Data(), bi->Data(), out2d.data(), m, k, n)) {
-      kernels::Gemm(ai->Data(), bi->Data(), out2d.data(), m, k, n, false,
-                    false, false);
-    }
+    kernels::Gemm(ai->Data(), bi->Data(), out2d.data(), m, k, n, false, false,
+                  false);
     return out2d;
   }
 
@@ -550,7 +530,7 @@ Tensor MatMul(const Tensor& a_in, const Tensor& b_in) {
       auto ai = a.impl();
       auto bi = b_in.impl();
       Tensor out = MakeNode(
-          "bmm_tb", {bsz, m, n}, {ai, bi},
+          {bsz, m, n}, {ai, bi},
           [ai, bi, bsz, m, k, n](TensorImpl& self) {
             if (ai->requires_grad) {
               ai->EnsureGrad();
@@ -574,7 +554,7 @@ Tensor MatMul(const Tensor& a_in, const Tensor& b_in) {
     auto ai = a.impl();
     auto bi = b.impl();
     Tensor out = MakeNode(
-        "bmm", {bsz, m, n}, {ai, bi},
+        {bsz, m, n}, {ai, bi},
         [ai, bi, bsz, m, k, n](TensorImpl& self) {
           if (ai->requires_grad) {
             ai->EnsureGrad();
@@ -615,8 +595,7 @@ Tensor TransposeLast2(const Tensor& a) {
   std::vector<int64_t> out_strides = ai->strides;
   std::swap(out_shape[rank - 1], out_shape[rank - 2]);
   std::swap(out_strides[rank - 1], out_strides[rank - 2]);
-  return MakeView("transpose2", ai, std::move(out_shape),
-                  std::move(out_strides), ai->offset);
+  return MakeView(ai, std::move(out_shape), std::move(out_strides), ai->offset);
 }
 
 // ---- Shape ---------------------------------------------------------------------------
@@ -627,8 +606,7 @@ Tensor Reshape(const Tensor& a_in, Shape new_shape) {
   const Tensor a = Contiguous(a_in);
   auto ai = a.impl();
   std::vector<int64_t> strides = ContiguousStrides(new_shape);
-  return MakeView("reshape", ai, std::move(new_shape), std::move(strides),
-                  ai->offset);
+  return MakeView(ai, std::move(new_shape), std::move(strides), ai->offset);
 }
 
 Tensor Concat(const Tensor& a_in, const Tensor& b_in, int64_t dim) {
@@ -656,7 +634,7 @@ Tensor Concat(const Tensor& a_in, const Tensor& b_in, int64_t dim) {
   auto ai = a.impl();
   auto bi = b.impl();
   Tensor out = MakeNode(
-      "concat", out_shape, {ai, bi},
+      out_shape, {ai, bi},
       [ai, bi, outer, inner, ma, mb](TensorImpl& self) {
         const int64_t mo = ma + mb;
         if (ai->requires_grad) ai->EnsureGrad();
@@ -699,7 +677,7 @@ Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end) {
   STISAN_CHECK_LT(start, end);
   Shape out_shape = s;
   out_shape[dim] = end - start;
-  return MakeView("slice", ai, std::move(out_shape), ai->strides,
+  return MakeView(ai, std::move(out_shape), ai->strides,
                   ai->offset + start * ai->strides[dim]);
 }
 
@@ -720,7 +698,7 @@ Tensor Stack0(const std::vector<Tensor>& parts_in) {
   const int64_t chunk = parts[0].numel();
   auto parents_copy = parents;
   Tensor out = MakeNode(
-      "stack0", out_shape, std::move(parents),
+      out_shape, std::move(parents),
       [parents_copy, chunk](TensorImpl& self) {
         for (size_t t = 0; t < parents_copy.size(); ++t) {
           auto& p = parents_copy[t];
@@ -748,7 +726,7 @@ Tensor Unfold1D(const Tensor& a_in, int64_t window) {
   const int64_t rows = n - window + 1;
   auto ai = a.impl();
   Tensor out = MakeNode(
-      "unfold1d", {rows, window * d}, {ai},
+      {rows, window * d}, {ai},
       [ai, rows, window, d](TensorImpl& self) {
         if (!ai->requires_grad) return;
         ai->EnsureGrad();
@@ -775,7 +753,7 @@ Tensor Sum(const Tensor& a_in) {
   const Tensor a = Contiguous(a_in);
   auto ai = a.impl();
   const int64_t n = a.numel();
-  Tensor out = MakeNode("sum", {1}, {ai}, [ai, n](TensorImpl& self) {
+  Tensor out = MakeNode({1}, {ai}, [ai, n](TensorImpl& self) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     const float g = self.Grad()[0];
@@ -818,7 +796,7 @@ Tensor SumDim(const Tensor& a_in, int64_t dim, bool keepdim) {
 
   auto ai = a.impl();
   Tensor out = MakeNode(
-      "sum_dim", out_shape, {ai}, [ai, outer, inner, mid](TensorImpl& self) {
+      out_shape, {ai}, [ai, outer, inner, mid](TensorImpl& self) {
         if (!ai->requires_grad) return;
         ai->EnsureGrad();
         const float* sg = self.Grad();
@@ -864,7 +842,7 @@ Tensor MaxDim(const Tensor& a_in, int64_t dim, bool keepdim) {
       static_cast<size_t>(outer * inner));
   auto ai = a.impl();
   Tensor out = MakeNode(
-      "max_dim", out_shape, {ai},
+      out_shape, {ai},
       [ai, outer, inner, mid, argmax](TensorImpl& self) {
         if (!ai->requires_grad) return;
         ai->EnsureGrad();
@@ -918,7 +896,7 @@ Tensor Softmax(const Tensor& a_in) {
   const int64_t rows = a.numel() / d;
   auto ai = a.impl();
   Tensor out = MakeNode(
-      "softmax", a.shape(), {ai}, [ai, rows, d](TensorImpl& self) {
+      a.shape(), {ai}, [ai, rows, d](TensorImpl& self) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     kernels::SoftmaxBackwardRows(self.Data(), self.Grad(), ai->Grad(), rows,
@@ -935,7 +913,7 @@ Tensor LogSoftmax(const Tensor& a_in) {
   const int64_t rows = a.numel() / d;
   auto ai = a.impl();
   Tensor out = MakeNode(
-      "log_softmax", a.shape(), {ai}, [ai, rows, d](TensorImpl& self) {
+      a.shape(), {ai}, [ai, rows, d](TensorImpl& self) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     kernels::LogSoftmaxBackwardRows(self.Data(), self.Grad(), ai->Grad(),
@@ -958,15 +936,15 @@ Tensor LayerNorm(const Tensor& x_in, const Tensor& gamma_in,
   auto xi = x.impl();
   auto gi = gamma.impl();
   auto bi = beta.impl();
-  // Cache per-row mean and inverse stddev for the backward pass (pooled:
-  // they live until graph teardown, every step, at the same sizes).
-  auto mu = arena::AcquireSharedZeroed(static_cast<size_t>(rows));
-  auto inv_sigma = arena::AcquireSharedZeroed(static_cast<size_t>(rows));
+  // Cache per-row mean and inverse stddev for the backward pass.
+  auto mu = std::make_shared<std::vector<float>>(static_cast<size_t>(rows));
+  auto inv_sigma =
+      std::make_shared<std::vector<float>>(static_cast<size_t>(rows));
 
   // Backward stays serial: gamma/beta grads reduce across rows, and the
   // kernel determinism contract forbids cross-row parallel accumulation.
   Tensor out = MakeNode(
-      "layer_norm", x.shape(), {xi, gi, bi},
+      x.shape(), {xi, gi, bi},
       [xi, gi, bi, mu, inv_sigma, rows, d](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
         const bool need_g = gi->requires_grad;
@@ -1025,7 +1003,7 @@ Tensor EmbeddingLookup(const Tensor& weight_in,
   auto ids_copy = std::make_shared<std::vector<int64_t>>(ids);
   // Backward is a scatter (duplicate ids collide) — stays serial.
   Tensor out = MakeNode(
-      "embedding", {n, d}, {wi}, [wi, ids_copy, d, padding_idx](TensorImpl& self) {
+      {n, d}, {wi}, [wi, ids_copy, d, padding_idx](TensorImpl& self) {
         if (!wi->requires_grad) return;
         wi->EnsureGrad();
         const float* sg = self.Grad();
@@ -1038,14 +1016,8 @@ Tensor EmbeddingLookup(const Tensor& weight_in,
           for (int64_t j = 0; j < d; ++j) wrow[j] += g[j];
         }
       });
-  const Int8GatherHook gather_hook =
-      g_int8_gather_hook.load(std::memory_order_acquire);
-  if (gather_hook == nullptr ||
-      !gather_hook(wi->Data(), ids_copy->data(), out.data(), n, d,
-                   padding_idx)) {
-    kernels::GatherRows(weight.data(), ids_copy->data(), out.data(), n, d,
-                        padding_idx);
-  }
+  kernels::GatherRows(weight.data(), ids_copy->data(), out.data(), n, d,
+                      padding_idx);
   return out;
 }
 
@@ -1057,11 +1029,12 @@ Tensor Dropout(const Tensor& a_in, float p, Rng& rng, bool training) {
   const Tensor a = Contiguous(a_in);
   const float scale = 1.0f / (1.0f - p);
   // Mask generation consumes the RNG stream sequentially — stays serial.
-  auto mask = arena::AcquireSharedZeroed(static_cast<size_t>(a.numel()));
+  auto mask =
+      std::make_shared<std::vector<float>>(static_cast<size_t>(a.numel()));
   for (auto& m : *mask) m = rng.Bernoulli(p) ? 0.0f : scale;
   auto ai = a.impl();
   Tensor out = MakeNode(
-      "dropout", a.shape(), {ai}, [ai, mask](TensorImpl& self) {
+      a.shape(), {ai}, [ai, mask](TensorImpl& self) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     const float* sg = self.Grad();
@@ -1101,14 +1074,6 @@ bool FusedAttentionEnabled() {
 
 void SetFusedAttentionEnabled(int value) {
   g_fused_attention_override.store(value, std::memory_order_relaxed);
-}
-
-void SetInt8GemmHook(Int8GemmHook hook) {
-  g_int8_gemm_hook.store(hook, std::memory_order_release);
-}
-
-void SetInt8GatherHook(Int8GatherHook hook) {
-  g_int8_gather_hook.store(hook, std::memory_order_release);
 }
 
 Tensor FusedAttention(const Tensor& q_in, const Tensor& k_in,
@@ -1156,7 +1121,8 @@ Tensor FusedAttention(const Tensor& q_in, const Tensor& k_in,
     // Same serial full-tensor draw order as ops::Dropout, so the RNG stream
     // (and therefore training) is identical to the composed path.
     const float keep = 1.0f / (1.0f - options.dropout_p);
-    drop_mask = arena::AcquireSharedZeroed(static_cast<size_t>(batch * m * n));
+    drop_mask = std::make_shared<std::vector<float>>(
+        static_cast<size_t>(batch * m * n));
     for (auto& mv : *drop_mask)
       mv = options.rng->Bernoulli(options.dropout_p) ? 0.0f : keep;
   }
@@ -1173,9 +1139,8 @@ Tensor FusedAttention(const Tensor& q_in, const Tensor& k_in,
   // mask above). Inference skips it and streams through row scratch.
   std::shared_ptr<std::vector<float>> probs;
   if (needs_grad) {
-    // AcquireSharedZeroed (not a make_shared wrapper): the deleter releases
-    // the buffer back to the pool instead of freeing it at graph teardown.
-    probs = arena::AcquireSharedZeroed(static_cast<size_t>(batch * m * n));
+    probs = std::make_shared<std::vector<float>>(
+        static_cast<size_t>(batch * m * n));
   }
 
   const bool causal = options.causal;
@@ -1184,7 +1149,7 @@ Tensor FusedAttention(const Tensor& q_in, const Tensor& k_in,
   std::vector<TensorImplPtr> parents = {qi, ki, vi};
   if (bi != nullptr) parents.push_back(bi);
   Tensor out = MakeNode(
-      "fused_attention", std::move(out_shape), std::move(parents),
+      std::move(out_shape), std::move(parents),
       [qi, ki, vi, bi, probs, drop_mask, batch, m, n, d, causal, scale,
        bias_broadcast](TensorImpl& self) {
         const bool need_q = qi->requires_grad;
@@ -1197,7 +1162,7 @@ Tensor FusedAttention(const Tensor& q_in, const Tensor& k_in,
         if (need_b) bi->EnsureGrad();
         std::vector<float> ds;
         if (need_q || need_k || need_b)
-          ds = arena::AcquireZeroed(static_cast<size_t>(batch * m * n));
+          ds.assign(static_cast<size_t>(batch * m * n), 0.0f);
         kernels::FusedAttentionBackward(
             qi->Data(), ki->Data(), vi->Data(), probs->data(),
             drop_mask != nullptr ? drop_mask->data() : nullptr, self.Grad(),
@@ -1205,7 +1170,6 @@ Tensor FusedAttention(const Tensor& q_in, const Tensor& k_in,
             need_v ? vi->Grad() : nullptr, need_b ? bi->Grad() : nullptr,
             ds.empty() ? nullptr : ds.data(), batch, m, n, d, causal, scale,
             bias_broadcast);
-        arena::Release(std::move(ds));
       });
   kernels::FusedAttentionForward(
       q.data(), k.data(), v.data(), bias.defined() ? bias.data() : nullptr,
@@ -1240,7 +1204,7 @@ Tensor FusedBiasRelu(const Tensor& x_in, const Tensor& b_in) {
   // both paths identically) followed by the Add backward's serial row-major
   // bias reduction.
   Tensor out = MakeNode(
-      "fused_bias_relu", x.shape(), {xi, bi},
+      x.shape(), {xi, bi},
       [xi, bi, rows, d](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
         const bool need_b = bi->requires_grad;
@@ -1293,16 +1257,17 @@ Tensor FusedResidualLayerNorm(const Tensor& x_in, const Tensor& r_in,
   auto bi = beta.impl();
   // The residual sum is saved for backward in place of a graph node; the
   // same chunked elementwise add as the composed x + r keeps it bit-equal.
-  auto sum = arena::AcquireSharedZeroed(static_cast<size_t>(numel));
-  auto mu = arena::AcquireSharedZeroed(static_cast<size_t>(rows));
-  auto inv_sigma = arena::AcquireSharedZeroed(static_cast<size_t>(rows));
+  auto sum = std::make_shared<std::vector<float>>(static_cast<size_t>(numel));
+  auto mu = std::make_shared<std::vector<float>>(static_cast<size_t>(rows));
+  auto inv_sigma =
+      std::make_shared<std::vector<float>>(static_cast<size_t>(rows));
 
   // Backward mirrors the composed LayerNorm(x + r) chain exactly: the same
   // serial per-row LayerNorm backward, with the input gradient v accumulated
   // into both residual operands (what the Add backward would have done with
   // the intermediate node's gradient, which is exactly v on a fresh buffer).
   Tensor out = MakeNode(
-      "fused_residual_ln", x.shape(), {xi, ri, gi, bi},
+      x.shape(), {xi, ri, gi, bi},
       [xi, ri, gi, bi, sum, mu, inv_sigma, rows, d](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
         const bool need_r = ri->requires_grad;

@@ -179,40 +179,17 @@ void SetFusedAttentionEnabled(int value);
 /// Fused relu(x + b) for a trailing bias vector b ([d] against x [..., d]):
 /// one autograd node instead of the Add + Relu pair. Forward values,
 /// gradients, and accumulation order are bit-identical to the composed
-/// chain. Modules lower through this when plan::FusionEnabled().
+/// chain. Linear::ForwardRelu lowers through this.
 Tensor FusedBiasRelu(const Tensor& x, const Tensor& b);
 
 /// Fused LayerNorm(x + r): the residual-add feeding a layer norm collapses
 /// into one autograd node that saves the sum (plus the per-row stats)
 /// instead of materialising an intermediate graph node. Bit-identical to
 /// the composed chain, including the serial backward reduction order.
+/// LayerNorm::ForwardResidual lowers through this.
 Tensor FusedResidualLayerNorm(const Tensor& x, const Tensor& r,
                               const Tensor& gamma, const Tensor& beta,
                               float eps);
-
-// ---- Int8 inference hooks ---------------------------------------------------
-//
-// The post-training quantization subsystem (src/quant) installs these to
-// intercept inference-time work on registered frozen weights. MatMul's plain
-// 2-D path (which every Linear forward lowers to, including batched [B,n,d]
-// forwards flattened to 2-D) offers the hook its weight operand's storage
-// pointer; EmbeddingLookup does the same for gathers. A hook returns true
-// when it recognised the pointer and wrote the output itself — the fp32
-// kernel is skipped. Hooks must be deterministic, must not build autograd
-// state, and are expected to decline (return false) while gradients are
-// enabled. Keeping the indirection here (function pointers set at runtime)
-// means the tensor core never depends on the quant library.
-
-using Int8GemmHook = bool (*)(const float* a, const float* weight_key,
-                              float* c, int64_t m, int64_t k, int64_t n);
-using Int8GatherHook = bool (*)(const float* weight_key, const int64_t* ids,
-                                float* out, int64_t n, int64_t d,
-                                int64_t padding_idx);
-
-/// Installs (or clears, with nullptr) the hooks. Not thread-safe against
-/// concurrent forwards; install once at startup before serving.
-void SetInt8GemmHook(Int8GemmHook hook);
-void SetInt8GatherHook(Int8GatherHook hook);
 
 // ---- Convenience -----------------------------------------------------------------
 

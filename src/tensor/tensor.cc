@@ -5,10 +5,29 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "plan/plan.h"
-#include "tensor/arena.h"
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace stisan {
+
+namespace {
+
+// Tape buffers come straight from malloc, and a training window or eval
+// batch frees its whole tape at once. Under glibc's default thresholds the
+// freed top of the heap goes back to the kernel and the next window faults
+// it in again, and the larger buffers are mmap'd and unmapped each time.
+// Fixing the mmap threshold at its usual ceiling and trimming only past
+// twice that keeps freed tape memory in the heap for the next window.
+[[maybe_unused]] const bool kHeapKeepsTape = [] {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
+  return true;
+}();
+
+}  // namespace
 
 int64_t NumElements(const Shape& shape) {
   int64_t n = 1;
@@ -48,19 +67,6 @@ thread_local bool g_grad_enabled = true;
 
 bool GradEnabled() { return g_grad_enabled; }
 
-Storage::~Storage() {
-  // Park both allocations in the arena pool (no-ops when inactive).
-  arena::Release(std::move(data));
-  arena::Release(std::move(grad));
-}
-
-void Storage::EnsureGrad() {
-  if (grad.size() != data.size()) {
-    arena::Release(std::move(grad));
-    grad = arena::AcquireZeroed(data.size());
-  }
-}
-
 bool TensorImpl::IsContiguous() const {
   int64_t expect = 1;
   for (size_t i = shape.size(); i-- > 0;) {
@@ -89,7 +95,7 @@ internal::TensorImplPtr MakeImpl(Shape shape, bool requires_grad) {
   impl->strides = ContiguousStrides(shape);
   impl->shape = std::move(shape);
   impl->storage = std::make_shared<internal::Storage>();
-  impl->storage->data = arena::AcquireZeroed(static_cast<size_t>(n));
+  impl->storage->data.assign(static_cast<size_t>(n), 0.0f);
   impl->requires_grad = requires_grad && internal::GradEnabled();
   return impl;
 }
@@ -287,19 +293,6 @@ void Tensor::Backward() {
   STISAN_CHECK(impl_ != nullptr);
   STISAN_CHECK_MSG(numel() == 1, "Backward() requires a scalar loss");
 
-  // Static-plan shortcut: when the step so far matches a cached plan whose
-  // recorded backward order is rooted here, skip the topological sort and
-  // replay the recorded closure invocation order (bit-identical — it *is*
-  // the order the sweep below produced during capture).
-  if (plan::CanReplayBackward(impl_.get())) {
-    impl_->EnsureGrad();
-    impl_->storage->grad[static_cast<size_t>(impl_->offset)] = 1.0f;
-    plan::ReplayBackward();
-    return;
-  }
-  const bool record = plan::WantsBackwardRecord();
-  std::vector<internal::TensorImpl*> invoked;
-
   // Iterative post-order topological sort (child after parents), then walk
   // in reverse so each node's grad is complete before it propagates.
   std::vector<internal::TensorImpl*> order;
@@ -329,11 +322,9 @@ void Tensor::Backward() {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     internal::TensorImpl* node = *it;
     if (node->backward_fn && node->storage->has_grad()) {
-      if (record) invoked.push_back(node);
       node->backward_fn(*node);
     }
   }
-  if (record) plan::OnBackwardSwept(impl_.get(), invoked);
 }
 
 Tensor Tensor::Detach() const {
@@ -342,7 +333,7 @@ Tensor Tensor::Detach() const {
   impl->strides = ContiguousStrides(impl_->shape);
   impl->shape = impl_->shape;
   impl->storage = std::make_shared<internal::Storage>();
-  impl->storage->data = arena::AcquireZeroed(static_cast<size_t>(impl_->numel()));
+  impl->storage->data.resize(static_cast<size_t>(impl_->numel()));
   GatherToDense(*impl_, impl->storage->data.data());
   impl->requires_grad = false;
   return Tensor(std::move(impl));

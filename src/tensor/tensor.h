@@ -52,19 +52,14 @@ using TensorImplPtr = std::shared_ptr<TensorImpl>;
 
 /// Refcounted flat buffer shared by every view of a tensor. The gradient
 /// buffer parallels the data buffer element-for-element and is allocated
-/// lazily during backward. Both buffers are routed through the tape memory
-/// arena (src/tensor/arena.h): the destructor parks them for reuse when the
-/// arena is active. Defined in tensor.cc.
+/// lazily during backward.
 struct Storage {
   std::vector<float> data;
   std::vector<float> grad;
 
-  Storage() = default;
-  ~Storage();
-  Storage(const Storage&) = delete;
-  Storage& operator=(const Storage&) = delete;
-
-  void EnsureGrad();
+  void EnsureGrad() {
+    if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
+  }
   bool has_grad() const { return grad.size() == data.size(); }
 };
 
@@ -77,13 +72,6 @@ struct TensorImpl {
   int64_t offset = 0;            // start element inside the storage
   StoragePtr storage;
   bool requires_grad = false;
-
-  // Static-plan slot identity (src/plan): position of this node in the
-  // current plan step's instruction stream, valid only while plan_step
-  // equals the active step sequence number (nodes cached across steps carry
-  // a stale position that must not alias a slot).
-  int32_t plan_pos = -1;
-  uint64_t plan_step = 0;
 
   // Autograd tape: inputs this node was computed from, and a closure that
   // propagates this node's grad into the parents' grads. Pure views leave

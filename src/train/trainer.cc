@@ -6,8 +6,6 @@
 #include <optional>
 
 #include "obs/metrics.h"
-#include "plan/plan.h"
-#include "tensor/arena.h"
 #include "tensor/ops.h"
 #include "train/lr_schedule.h"
 #include "train/signal.h"
@@ -106,13 +104,6 @@ Status Trainer::RestoreState(const TrainerState& state, Adam& optimizer) {
 TrainResult Trainer::Run(size_t num_windows, const WindowLossFn& loss_fn) {
   OBS_SCOPED_TIMER("train/run");
   TrainResult result;
-  // Tape buffers freed at the end of step k are recycled by step k+1 while
-  // this scope is alive (STISAN_ARENA=1); the pool drains when Run returns.
-  arena::Scope arena_scope;
-  // Static execution plans: the first window's tape is captured, subsequent
-  // windows replay it (declared after arena_scope so the plan cache tears
-  // down while the pool is still alive).
-  plan::Scope plan_scope;
   const auto& cfg = config_;
   const int64_t bsz = std::max<int64_t>(1, cfg.batch_size);
 
@@ -214,10 +205,7 @@ TrainResult Trainer::Run(size_t num_windows, const WindowLossFn& loss_fn) {
       if (cfg.max_train_windows > 0 && seen >= cfg.max_train_windows) break;
       float loss_value;
       {
-        // One window = one plan step: the loss graph is built, swept, and
-        // torn down inside the StepScope so its allocation record is
-        // complete when the step finalises.
-        plan::StepScope plan_step;
+        // Scoped so the loss graph is torn down before the optimizer step.
         Tensor loss = loss_fn(idx);
         loss_value = loss.data()[0];
         if (std::isfinite(loss_value)) {

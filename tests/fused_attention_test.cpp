@@ -1,15 +1,13 @@
-// Fused attention + arena/cache test suite (label: "fused").
+// Fused attention + cache test suite (label: "fused").
 //
-// Covers the ops::FusedAttention contract from four angles:
+// Covers the ops::FusedAttention contract from three angles:
 //  1. analytic gradients vs central finite differences (bias/no-bias,
 //     causal/non-causal, 2-D and padded-batch 3-D),
 //  2. bit-equivalence against the composed per-op reference lowering
 //     (STISAN_FUSED_ATTENTION=0) for forward, input grads, parameter grads,
 //     learned-bias grads and the dropout RNG stream,
 //  3. bit-determinism across thread counts on shapes large enough to
-//     actually split in ParallelRanges,
-//  4. the tape memory arena being bit-invisible while recycling buffers
-//     across interleaved training steps and eval batches.
+//     actually split in ParallelRanges.
 //
 // Plus the memoisation caches: BuildCausalMask, CachedScaledRelation and
 // CachedSinusoidalEncoding must return shared handles on repeat requests.
@@ -24,7 +22,6 @@
 #include "core/taad.h"
 #include "core/tape.h"
 #include "nn/attention.h"
-#include "tensor/arena.h"
 #include "tensor/gradcheck.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -340,71 +337,7 @@ TEST(FusedDeterminism, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.grads, parallel.grads);
 }
 
-// ---- 4. Arena --------------------------------------------------------------
-
-TEST(ArenaTest, InterleavedTrainEvalBitInvisibleAndRecycles) {
-  // Emulates the production scope layout: an outer training-run scope with
-  // per-step tapes, a nested eval scope firing mid-run (the trainer's
-  // periodic eval callback). Arena on must be bit-identical to arena off
-  // and must actually serve buffers from the pool.
-  auto run = [](bool arena_on) {
-    arena::SetEnabledForTesting(arena_on ? 1 : 0);
-    std::vector<float> trace;
-    {
-      arena::Scope train_scope;
-      for (int step = 0; step < 4; ++step) {
-        Tensor q = RandomInput({6, 8}, 100 + uint64_t(step));
-        Tensor k = RandomInput({6, 8}, 200 + uint64_t(step));
-        Tensor v = RandomInput({6, 8}, 300 + uint64_t(step));
-        const float scale = 1.0f / std::sqrt(8.0f);
-        Tensor loss = ops::Sum(ops::Square(
-            ops::FusedAttention(q, k, v, Tensor(), /*causal=*/true, scale)));
-        loss.Backward();
-        trace.push_back(loss.ToVector()[0]);
-        auto g = GradVector(q);
-        trace.insert(trace.end(), g.begin(), g.end());
-        if (step % 2 == 1) {  // interleaved eval batch
-          arena::Scope eval_scope;
-          NoGradGuard no_grad;
-          Tensor eq = RandomInput({4, 8}, 400 + uint64_t(step));
-          Tensor ek = RandomInput({5, 8}, 500 + uint64_t(step));
-          Tensor ev = RandomInput({5, 8}, 600 + uint64_t(step));
-          Tensor y =
-              ops::FusedAttention(eq, ek, ev, Tensor(), /*causal=*/false,
-                                  1.0f / std::sqrt(8.0f));
-          auto yv = y.ToVector();
-          trace.insert(trace.end(), yv.begin(), yv.end());
-        }
-      }
-    }
-    arena::SetEnabledForTesting(-1);
-    return trace;
-  };
-  const std::vector<float> off = run(false);
-  arena::ResetStats();
-  const std::vector<float> on = run(true);
-  const arena::Stats stats = arena::GetStats();
-  EXPECT_EQ(off, on);  // bit-identical values, arena invisible
-  EXPECT_GT(stats.hits, 0u) << "arena never recycled a buffer";
-  EXPECT_GT(stats.recycled, 0u);
-}
-
-TEST(ArenaTest, InactiveWithoutScopeOrFlag) {
-  arena::SetEnabledForTesting(1);
-  EXPECT_FALSE(arena::Active());  // enabled but no live Scope
-  {
-    arena::Scope scope;
-    EXPECT_TRUE(arena::Active());
-  }
-  arena::SetEnabledForTesting(0);
-  {
-    arena::Scope scope;
-    EXPECT_FALSE(arena::Active());  // scope alive but pooling disabled
-  }
-  arena::SetEnabledForTesting(-1);
-}
-
-// ---- 5. Memoisation caches ---------------------------------------------------
+// ---- 4. Memoisation caches ---------------------------------------------------
 
 TEST(CacheTest, CausalMaskMemoisedPerLength) {
   const Tensor a = nn::BuildCausalMask(7);

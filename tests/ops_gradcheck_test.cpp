@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "tensor/gradcheck.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace stisan {
@@ -299,6 +302,95 @@ TEST(GradCheck, InnerSliceChain) {
         return ops::Sum(ops::Square(s2));
       },
       a);
+}
+
+// ---- Fused elementwise ops vs their composed chains -------------------------
+//
+// Linear::ForwardRelu and LayerNorm::ForwardResidual always lower through
+// these fused ops; the composed chains stay as their bit-exact references.
+
+std::vector<float> GradOf(const Tensor& t) {
+  return {t.grad_data(), t.grad_data() + t.numel()};
+}
+
+TEST(PlanFusedOps, FusedBiasReluMatchesComposedBitExact) {
+  kernels::SetNumThreads(1);
+  Rng rng(11);
+  const Tensor x0 = Tensor::Randn({5, 7}, rng);
+  const Tensor b0 = Tensor::Randn({7}, rng);
+  const Tensor up = Tensor::Randn({5, 7}, rng);  // varied upstream grads
+
+  auto run = [&](bool fused) {
+    Tensor x = Tensor::FromVector({5, 7}, x0.ToVector(), true);
+    Tensor b = Tensor::FromVector({7}, b0.ToVector(), true);
+    Tensor out = fused ? ops::FusedBiasRelu(x, b) : ops::Relu(x + b);
+    ops::Sum(out * up).Backward();
+    return std::tuple{out.ToVector(), GradOf(x), GradOf(b)};
+  };
+  const auto [f_out, f_xg, f_bg] = run(true);
+  const auto [c_out, c_xg, c_bg] = run(false);
+  EXPECT_EQ(f_out, c_out);
+  EXPECT_EQ(f_xg, c_xg);
+  EXPECT_EQ(f_bg, c_bg);
+}
+
+TEST(PlanFusedOps, FusedResidualLayerNormMatchesComposedBitExact) {
+  kernels::SetNumThreads(1);
+  Rng rng(12);
+  const Tensor x0 = Tensor::Randn({4, 6}, rng);
+  const Tensor r0 = Tensor::Randn({4, 6}, rng);
+  const Tensor g0 = Tensor::Rand({6}, rng, 0.5f, 1.5f);
+  const Tensor be0 = Tensor::Randn({6}, rng, 0.1f);
+  const Tensor up = Tensor::Randn({4, 6}, rng);
+  constexpr float kEps = 1e-5f;
+
+  auto run = [&](bool fused) {
+    Tensor x = Tensor::FromVector({4, 6}, x0.ToVector(), true);
+    Tensor r = Tensor::FromVector({4, 6}, r0.ToVector(), true);
+    Tensor g = Tensor::FromVector({6}, g0.ToVector(), true);
+    Tensor be = Tensor::FromVector({6}, be0.ToVector(), true);
+    Tensor out = fused ? ops::FusedResidualLayerNorm(x, r, g, be, kEps)
+                       : ops::LayerNorm(x + r, g, be, kEps);
+    ops::Sum(out * up).Backward();
+    return std::tuple{out.ToVector(), GradOf(x), GradOf(r), GradOf(g),
+                      GradOf(be)};
+  };
+  const auto [f_out, f_xg, f_rg, f_gg, f_bg] = run(true);
+  const auto [c_out, c_xg, c_rg, c_gg, c_bg] = run(false);
+  EXPECT_EQ(f_out, c_out);
+  EXPECT_EQ(f_xg, c_xg);
+  EXPECT_EQ(f_rg, c_rg);
+  EXPECT_EQ(f_gg, c_gg);
+  EXPECT_EQ(f_bg, c_bg);
+}
+
+TEST(PlanFusedOps, GradCheckFusedBiasRelu) {
+  kernels::SetNumThreads(1);
+  Rng rng(13);
+  // Preactivations stay clearly on one side of the ReLU kink so the central
+  // differences never straddle it: x in (0.25, 1), bias entries +1 or -3.
+  Tensor x = Tensor::Rand({3, 4}, rng, 0.25f, 1.0f, /*requires_grad=*/true);
+  Tensor b = Tensor::FromVector({4}, {1.0f, -3.0f, 1.0f, -3.0f},
+                                /*requires_grad=*/true);
+  Status st = CheckGradients(
+      [&] { return ops::Sum(ops::Square(ops::FusedBiasRelu(x, b))); }, {x, b});
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(PlanFusedOps, GradCheckFusedResidualLayerNorm) {
+  kernels::SetNumThreads(1);
+  Rng rng(14);
+  Tensor x = Tensor::Randn({3, 5}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor r = Tensor::Randn({3, 5}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor g = Tensor::Rand({5}, rng, 0.5f, 1.5f, /*requires_grad=*/true);
+  Tensor be = Tensor::Randn({5}, rng, 0.1f, /*requires_grad=*/true);
+  Status st = CheckGradients(
+      [&] {
+        return ops::Sum(
+            ops::Square(ops::FusedResidualLayerNorm(x, r, g, be, 1e-5f)));
+      },
+      {x, r, g, be});
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 }  // namespace

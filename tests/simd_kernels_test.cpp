@@ -1,4 +1,4 @@
-// SIMD kernel backend suite (label: "quant", with the int8 tests).
+// SIMD kernel backend suite (label: "simd").
 //
 // The vector kernels (kernels_simd.cc) promise tolerance-level agreement
 // with the scalar reference, not bit-identity — FMA contraction and 8-lane

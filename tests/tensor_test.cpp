@@ -5,6 +5,14 @@
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
+// ASan and TSan bring their own allocator; glibc's heap statistics then
+// describe a heap the program does not use.
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+#include <malloc.h>
+#define STISAN_GLIBC_HEAP 1
+#endif
+
 namespace stisan {
 namespace {
 
@@ -538,6 +546,27 @@ TEST(Backward, ScalarChainRule) {
   loss.Backward();
   const float s = 1.0f / (1.0f + std::exp(-1.0f));
   EXPECT_NEAR(a.grad_data()[0], 2.0f * s * (1 - s), 1e-5f);
+}
+
+// A training window frees its whole tape at once. The buffers must come
+// from the heap and stay there when freed, so the next window reuses them
+// instead of faulting fresh pages in.
+TEST(TensorHeap, FreedTapeBuffersStayInTheHeap) {
+#if defined(STISAN_GLIBC_HEAP)
+  const int64_t n = int64_t{4} << 20;  // 16 MiB, far above glibc's default mmap threshold
+  const struct mallinfo2 before = mallinfo2();
+  size_t live_arena = 0;
+  {
+    Tensor t = Tensor::Zeros({n});
+    const struct mallinfo2 live = mallinfo2();
+    EXPECT_EQ(live.hblks, before.hblks) << "the buffer was mmap'd";
+    EXPECT_GE(live.arena, static_cast<size_t>(n) * sizeof(float));
+    live_arena = live.arena;
+  }
+  EXPECT_EQ(mallinfo2().arena, live_arena) << "the freed buffer was trimmed from the heap";
+#else
+  GTEST_SKIP() << "needs glibc's own heap";
+#endif
 }
 
 }  // namespace

@@ -8,10 +8,9 @@
 // and candidate sampling are seeded, the kernel backend is pinned to one
 // thread AND to the scalar fp32 reference path (the AVX2/NEON kernels round
 // differently, so kernel selection drift must not perturb this harness —
-// SIMD and int8 scoring are validated by tolerance in tests/quant_test and
-// tests/simd_kernels_test instead), and the batched evaluator is
-// bit-identical to sequential scoring at
-// any batch size. Doubles are serialised with %.17g, which round-trips
+// SIMD scoring is validated by tolerance in tests/simd_kernels_test
+// instead), and the batched evaluator is bit-identical to sequential
+// scoring at any batch size. Doubles are serialised with %.17g, which round-trips
 // exactly, so the comparison is EXPECT_EQ, not EXPECT_NEAR — any drift in
 // metrics is a real behaviour change and must be acknowledged by re-running
 // the refresh tool.

@@ -6,17 +6,16 @@
 #
 # Uses the asan/ubsan/tsan presets from CMakePresets.json (build trees
 # build-asan/, build-ubsan/ and build-tsan/); the asan/ubsan test presets
-# run the "unit", "robustness", "fused", "obs", "plan", "serve", "quant"
-# and "ranking" labels, skipping the end-to-end CLI/tool smoke tests whose sanitized
-# runtimes are excessive on one core. The tsan preset runs only the
+# run the "unit", "robustness", "fused", "obs", "serve", "simd" and
+# "ranking" labels, skipping the end-to-end CLI/tool smoke tests whose
+# sanitized runtimes are excessive. The tsan preset runs only the
 # concurrency-heavy "serve" and "obs" labels — the memory-safety gates
 # add nothing under TSan and its runtime overhead is the largest.
 #
 # After the unit pass, the "robustness" suite (fault-injection sweeps,
 # checkpoint fuzzing, kill/resume determinism) and the "fused" suite
-# (fused-attention kernels, arena stress with interleaved train/eval
-# scopes) are re-run as explicit gates: torn-write handling and the
-# hand-written attention backward/arena recycling are exactly where the
+# (fused-attention kernels) are re-run as explicit gates: torn-write
+# handling and the hand-written attention backward are exactly where the
 # sanitizers catch out-of-bounds reads that a plain run would miss.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,7 +45,7 @@ for preset in "${presets[@]}"; do
   (cd "build-${preset}" && \
    ASAN_OPTIONS="halt_on_error=1" \
    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
-   STISAN_ARENA=1 ctest -L fused --output-on-failure)
+   ctest -L fused --output-on-failure)
   echo "==== ${preset}: ctest (observability gate) ===="
   # Concurrent counter/histogram increments from the thread pool are the
   # registry's hot path; running the obs label explicitly under the
@@ -55,14 +54,6 @@ for preset in "${presets[@]}"; do
    ASAN_OPTIONS="halt_on_error=1" \
    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
    ctest -L obs --output-on-failure)
-  echo "==== ${preset}: ctest (static-plan gate) ===="
-  # Replayed steps reuse exact-size pooled buffers and skip the backward
-  # topo sort; the plan label re-runs the parity suite with plans and the
-  # arena forced on so the sanitizers sweep the capture/replay machinery.
-  (cd "build-${preset}" && \
-   ASAN_OPTIONS="halt_on_error=1" \
-   UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
-   STISAN_STATIC_PLAN=1 STISAN_ARENA=1 ctest -L plan --output-on-failure)
   echo "==== ${preset}: ctest (serving gate) ===="
   # The serving runtime rewrites attention rows into long-lived per-user
   # K/V buffers and batches concurrent requests through a worker thread —
@@ -73,16 +64,16 @@ for preset in "${presets[@]}"; do
    ASAN_OPTIONS="halt_on_error=1" \
    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
    ctest -L serve --output-on-failure)
-  echo "==== ${preset}: ctest (simd/quant gate) ===="
-  # The AVX2 kernels and the int8 GEMM read 8/16/32-wide lanes up to an
-  # explicitly computed bound with scalar tails — precisely where an
-  # off-by-one becomes an out-of-bounds vector load, and (under UBSan)
-  # where misaligned or overflowing lane arithmetic would hide. STISAN_SIMD=1
-  # makes the vector paths unconditional even if a future default flips.
+  echo "==== ${preset}: ctest (simd gate) ===="
+  # The AVX2 kernels read 8-wide lanes up to an explicitly computed bound
+  # with scalar tails — precisely where an off-by-one becomes an
+  # out-of-bounds vector load, and (under UBSan) where misaligned or
+  # overflowing lane arithmetic would hide. STISAN_SIMD=1 makes the vector
+  # paths unconditional even if a future default flips.
   (cd "build-${preset}" && \
    ASAN_OPTIONS="halt_on_error=1" \
    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
-   STISAN_SIMD=1 ctest -L quant --output-on-failure)
+   STISAN_SIMD=1 ctest -L simd --output-on-failure)
   echo "==== ${preset}: ctest (catalog-ranking gate) ===="
   # The two-stage ranker's hot path reuses per-worker query scratch and
   # streams candidate pools through caller-owned buffers across threads;

@@ -39,7 +39,9 @@
 //                     producer paces each request on a fixed schedule and
 //                     never waits for responses (open loop), so offered
 //                     load keeps arriving when the service falls behind
-//   --duration S      seconds of offered load per sweep point
+//   --duration S      seconds of offered load per sweep point; a point
+//                     stops early (with a warning) once the timed stream
+//                     is used up
 //   --deadline-ms D   per-request deadline (0 = none)
 //   --max-queue N     admission bound on the op queue (0 = unbounded)
 //   --policy P        block | reject | shed (ServeOptions::queue_policy)
@@ -88,7 +90,9 @@ double Percentile(std::vector<double> sorted, double p) {
 }
 
 // One open-loop sweep point: offer `rate` req/s for `duration_s` against a
-// fresh admission-controlled service and classify every response.
+// fresh admission-controlled service and classify every response. The
+// point stops early at the end of the timed stream: replaying it again
+// would re-append earlier check-ins with earlier timestamps.
 struct OverloadPoint {
   double offered_rate = 0.0;
   size_t offered = 0;           // requests actually sent
@@ -117,8 +121,16 @@ OverloadPoint RunOverloadPoint(core::StisanModel* model,
 
   OverloadPoint point;
   point.offered_rate = rate;
-  const size_t total =
+  const size_t wanted =
       static_cast<size_t>(std::max(1.0, rate * duration_s));
+  const size_t total = std::min(wanted, events.size());
+  if (total < wanted) {
+    std::fprintf(stderr,
+                 "warning: the %.0f req/s point stops after %zu of %zu "
+                 "requests: the timed stream ends there (raise --users or "
+                 "--scale)\n",
+                 rate, total, wanted);
+  }
   const auto period = std::chrono::duration_cast<
       std::chrono::steady_clock::duration>(std::chrono::duration<double>(
       1.0 / std::max(rate, 1e-9)));
@@ -132,7 +144,7 @@ OverloadPoint RunOverloadPoint(core::StisanModel* model,
     // is the exception by design: backpressure pushes back on arrival.)
     std::this_thread::sleep_until(
         t0 + period * static_cast<int64_t>(i));
-    const ReplayEvent& ev = events[i % events.size()];
+    const ReplayEvent& ev = events[i];
     (void)service.Append(ev.user, ev.poi, ev.timestamp);
     futures.push_back(service.ScoreAsync(ev.user, cands, deadline_us));
   }
