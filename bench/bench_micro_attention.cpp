@@ -11,10 +11,11 @@
 // effective worker count in the "threads" counter, so serial vs threaded
 // forwards can be compared from one binary.
 
-// The *Lowering* benchmarks compare the composed per-op attention path
-// (STISAN_FUSED_ATTENTION=0) against the fused one-node lowering, forward
-// and forward+backward, at (n, heads). BM_AttentionOp* measure the raw op
-// chain without the q/k/v projection GEMMs so the fusion speedup is not
+// BM_FusedAttention* time a full CausalSelfAttention module (projections
+// plus the fused attention node), forward and forward+backward, at
+// (n, heads). BM_AttentionOp* compare the raw attention core without the
+// q/k/v projection GEMMs: the composed per-op chain (built here, as in the
+// test oracle) against the single fused node, so the fusion speedup is not
 // diluted; the checked-in BENCH_attention.json captures one JSON run.
 
 // The *Inference* benchmarks compare serving-mode forwards (no grad
@@ -117,13 +118,12 @@ void BM_StisanEncoderTrainStepThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_StisanEncoderTrainStepThreads)->Args({100, 1})->Args({100, 0});
 
-// Composed-vs-fused lowering of a full CausalSelfAttention module
-// (projections + attention core) at (n, heads), d=32.
-void RunLowering(benchmark::State& state, bool fused, bool backward) {
+// A full CausalSelfAttention module (projections + fused attention core)
+// at (n, heads), d=32.
+void RunAttentionModule(benchmark::State& state, bool backward) {
   const int64_t n = state.range(0);
   const int64_t heads = state.range(1);
   const int64_t d = 32;
-  ops::SetFusedAttentionEnabled(fused ? 1 : 0);
   Rng rng(11);
   nn::CausalSelfAttention attn(d, /*dropout=*/0.0f, rng, /*causal=*/true,
                                /*identity_init_values=*/false, heads);
@@ -137,35 +137,24 @@ void RunLowering(benchmark::State& state, bool fused, bool backward) {
     }
     benchmark::DoNotOptimize(out.data());
   }
-  ops::SetFusedAttentionEnabled(-1);
 }
 
-#define STISAN_LOWERING_ARGS \
+#define STISAN_MODULE_ARGS \
   ->Args({32, 1})->Args({64, 1})->Args({128, 1})->Args({32, 2})->Args({64, 2})->Args({128, 2})
 
-void BM_ComposedAttentionForward(benchmark::State& state) {
-  RunLowering(state, /*fused=*/false, /*backward=*/false);
-}
-BENCHMARK(BM_ComposedAttentionForward) STISAN_LOWERING_ARGS;
-
 void BM_FusedAttentionForward(benchmark::State& state) {
-  RunLowering(state, /*fused=*/true, /*backward=*/false);
+  RunAttentionModule(state, /*backward=*/false);
 }
-BENCHMARK(BM_FusedAttentionForward) STISAN_LOWERING_ARGS;
-
-void BM_ComposedAttentionTrainStep(benchmark::State& state) {
-  RunLowering(state, /*fused=*/false, /*backward=*/true);
-}
-BENCHMARK(BM_ComposedAttentionTrainStep) STISAN_LOWERING_ARGS;
+BENCHMARK(BM_FusedAttentionForward) STISAN_MODULE_ARGS;
 
 void BM_FusedAttentionTrainStep(benchmark::State& state) {
-  RunLowering(state, /*fused=*/true, /*backward=*/true);
+  RunAttentionModule(state, /*backward=*/true);
 }
-BENCHMARK(BM_FusedAttentionTrainStep) STISAN_LOWERING_ARGS;
+BENCHMARK(BM_FusedAttentionTrainStep) STISAN_MODULE_ARGS;
 
 // Raw attention core softmax(qkᵀ·scale + mask + bias)v without the
-// projection GEMMs: the composed op chain exactly as HeadAttention builds
-// it vs the single fused node.
+// projection GEMMs: the composed op chain the fused node replaced vs the
+// single fused node.
 void RunAttentionOp(benchmark::State& state, bool fused, bool backward) {
   const int64_t n = state.range(0);
   const int64_t d = 32;
@@ -219,7 +208,6 @@ void RunInferenceBackend(benchmark::State& state, int simd_mode) {
   const int64_t n = state.range(0);
   const int64_t d = 64;
   kernels::SetSimdEnabledForTesting(simd_mode);
-  ops::SetFusedAttentionEnabled(1);
   Rng rng(17);
   nn::CausalSelfAttention attn(d, /*dropout=*/0.0f, rng, /*causal=*/true,
                                /*identity_init_values=*/false, /*heads=*/1);
@@ -233,7 +221,6 @@ void RunInferenceBackend(benchmark::State& state, int simd_mode) {
       benchmark::DoNotOptimize(out.data());
     }
   }
-  ops::SetFusedAttentionEnabled(-1);
   kernels::SetSimdEnabledForTesting(-1);
 }
 

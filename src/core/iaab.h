@@ -68,18 +68,6 @@ class IntervalAwareAttentionBlock : public nn::Module {
   Tensor AttentionMap(const Tensor& x, const Tensor& relation_bias,
                       const Tensor& mask) const;
 
-  // ---- Sub-layer accessors for incremental (row-at-a-time) inference ----
-  // The serving engine (src/core/incremental.{h,cc}) re-runs exactly this
-  // block's eval-mode composition on one new row against cached K/V rows;
-  // it needs the individual sub-layers, read-only.
-  const IaabOptions& options() const { return options_; }
-  const nn::LayerNorm& ln_attention() const { return ln_attention_; }
-  const nn::CausalSelfAttention& attention() const { return attention_; }
-  const nn::Linear& values() const { return values_; }
-  const nn::LayerNorm& ln_ffn() const { return ln_ffn_; }
-  const nn::PointwiseFeedForward& ffn() const { return ffn_; }
-  const Tensor& ffn_gate() const { return gate_ffn_; }
-
  private:
   IaabOptions options_;
   nn::LayerNorm ln_attention_;
@@ -106,10 +94,6 @@ class IaabEncoder : public nn::Module {
                                     const Tensor& mask, Rng& rng) const;
 
   int64_t num_blocks() const { return static_cast<int64_t>(blocks_.size()); }
-  const IntervalAwareAttentionBlock& block(int64_t i) const {
-    return *blocks_[static_cast<size_t>(i)];
-  }
-  const nn::LayerNorm& final_norm() const { return final_norm_; }
 
  private:
   std::vector<std::unique_ptr<IntervalAwareAttentionBlock>> blocks_;

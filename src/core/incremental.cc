@@ -24,24 +24,12 @@ void WriteRow(Tensor& buffer, int64_t i, const Tensor& row) {
               static_cast<size_t>(d) * sizeof(float));
 }
 
-// Materialises a cached float row as a [1, len] tensor.
-Tensor RowTensor(const std::vector<float>& row) {
-  Tensor t = Tensor::Zeros({1, static_cast<int64_t>(row.size())});
-  std::memcpy(t.data(), row.data(), row.size() * sizeof(float));
-  return t;
-}
-
 }  // namespace
 
 void IncrementalState::Reset() {
   cached_len = 0;
   rhat_rows.clear();
   rhat_max = 0.0;
-  rel_rows.clear();
-  scaled_for_max = 0.0f;
-  k_cache.clear();
-  v_cache.clear();
-  f_cache = Tensor();
   embed_cache = Tensor();
 }
 
@@ -51,19 +39,6 @@ IncrementalScorer::IncrementalScorer(StisanModel* model, int64_t max_seq_len)
       dim_(model->model_dim()),
       rng_(0) {
   STISAN_CHECK_GE(max_seq_len_, 1);
-  // TAPE normalises positions by the mean gap over the whole sequence, so
-  // appending a visit perturbs *every* position: encoder rows are not
-  // reusable and only the preprocessing stages cache. The vanilla PE is
-  // position-local, which unlocks the full K/V row cache — provided the
-  // attention is the single-head causal layout whose row arithmetic the
-  // append path replays.
-  const auto& opts = model_->options_;
-  bool kv_ok = !opts.use_tape;
-  if (kv_ok && model_->encoder_->num_blocks() > 0) {
-    const auto& block = model_->encoder_->block(0);
-    kv_ok = block.options().causal && block.attention().num_heads() == 1;
-  }
-  tier_ = kv_ok ? IncrementalTier::kKvCache : IncrementalTier::kPreprocess;
 }
 
 std::unique_ptr<IncrementalState> IncrementalScorer::NewState() const {
@@ -72,31 +47,6 @@ std::unique_ptr<IncrementalState> IncrementalScorer::NewState() const {
 
 bool IncrementalScorer::NeedsRelation() const {
   return model_->options_.attention_mode != AttentionMode::kVanilla;
-}
-
-void IncrementalScorer::EnsureBuffers(IncrementalState& state) const {
-  if (tier_ == IncrementalTier::kPreprocess) {
-    if (!state.embed_cache.defined()) {
-      state.embed_cache = Tensor::Zeros({max_seq_len_, dim_});
-    }
-    return;
-  }
-  if (!state.f_cache.defined()) {
-    const int64_t nb = model_->encoder_->num_blocks();
-    state.k_cache.clear();
-    state.v_cache.clear();
-    for (int64_t b = 0; b < nb; ++b) {
-      // kRelationOnly never projects K; keep the slot (empty tensor) so
-      // block indices stay aligned.
-      if (model_->options_.attention_mode == AttentionMode::kRelationOnly) {
-        state.k_cache.emplace_back();
-      } else {
-        state.k_cache.push_back(Tensor::Zeros({max_seq_len_, dim_}));
-      }
-      state.v_cache.push_back(Tensor::Zeros({max_seq_len_, dim_}));
-    }
-    state.f_cache = Tensor::Zeros({max_seq_len_, dim_});
-  }
 }
 
 void IncrementalScorer::AppendRhatRow(IncrementalState& state,
@@ -123,89 +73,6 @@ void IncrementalScorer::AppendRhatRow(IncrementalState& state,
     state.rhat_max = std::max(state.rhat_max, r_hat);
   }
   state.rhat_rows.push_back(std::move(row));
-}
-
-void IncrementalScorer::AppendScaledRow(IncrementalState& state,
-                                        int64_t i) const {
-  // Exactly SoftmaxScaleRelation's row i for first_real = 0 over
-  // in[j] = float(rhat_max) - rhat_rows[i][j].
-  const float cap = static_cast<float>(state.rhat_max);
-  const std::vector<float>& raw = state.rhat_rows[static_cast<size_t>(i)];
-  std::vector<float> out(static_cast<size_t>(i) + 1);
-  float mx = cap - raw[0];
-  for (int64_t j = 0; j <= i; ++j) {
-    mx = std::max(mx, cap - raw[static_cast<size_t>(j)]);
-  }
-  float sum = 0.0f;
-  for (int64_t j = 0; j <= i; ++j) {
-    sum += std::exp((cap - raw[static_cast<size_t>(j)]) - mx);
-  }
-  for (int64_t j = 0; j <= i; ++j) {
-    out[static_cast<size_t>(j)] =
-        std::exp((cap - raw[static_cast<size_t>(j)]) - mx) / sum;
-  }
-  state.rel_rows.push_back(std::move(out));
-}
-
-void IncrementalScorer::AppendEncoderRow(IncrementalState& state,
-                                         const std::vector<int64_t>& pois,
-                                         int64_t i) const {
-  const int64_t len = i + 1;
-  const AttentionMode mode = model_->options_.attention_mode;
-
-  // Embedding + vanilla PE row: ApplyVanillaPe assigns position i+1 to
-  // row i, and the dropout is identity in eval mode.
-  Tensor x = model_->Embed({pois[static_cast<size_t>(i)]});
-  x = x + CachedSinusoidalEncoding({static_cast<double>(i + 1)}, dim_);
-
-  const IaabEncoder& enc = *model_->encoder_;
-  const int64_t nb = enc.num_blocks();
-  Tensor f_row;
-  for (int64_t b = 0; b < nb; ++b) {
-    const IntervalAwareAttentionBlock& blk = enc.block(b);
-    Tensor normed = blk.ln_attention().Forward(x);
-    Tensor attended;
-    if (mode == AttentionMode::kRelationOnly) {
-      // Full path: MatMul(scaled_relation, V'(normed)). Row i of that
-      // product only reads V' rows <= i (the scaled row is causal), so
-      // the truncated [1, len] x [len, d] product is the same sum in the
-      // same order.
-      WriteRow(state.v_cache[static_cast<size_t>(b)], i,
-               blk.values().Forward(normed));
-      attended = ops::MatMul(
-          RowTensor(state.rel_rows[static_cast<size_t>(i)]),
-          ops::Slice(state.v_cache[static_cast<size_t>(b)], 0, 0, len));
-    } else {
-      const nn::CausalSelfAttention& attn = blk.attention();
-      Tensor q = attn.wq().Forward(normed);
-      WriteRow(state.k_cache[static_cast<size_t>(b)], i,
-               attn.wk().Forward(normed));
-      WriteRow(state.v_cache[static_cast<size_t>(b)], i,
-               attn.wv().Forward(normed));
-      // The full causal call adds an explicit 0.0f mask (plus the scaled
-      // relation in kIntervalAware mode) to every visible logit; replicate
-      // the add so -0.0 logits normalise identically.
-      Tensor bias = mode == AttentionMode::kIntervalAware
-                        ? RowTensor(state.rel_rows[static_cast<size_t>(i)])
-                        : Tensor::Zeros({1, len});
-      attended = ops::FusedAttention(
-          q, ops::Slice(state.k_cache[static_cast<size_t>(b)], 0, 0, len),
-          ops::Slice(state.v_cache[static_cast<size_t>(b)], 0, 0, len), bias,
-          /*causal=*/false,
-          1.0f / std::sqrt(static_cast<float>(dim_)));
-    }
-    // Residual dropouts are identity in eval mode; the row-wise FFN and
-    // ReZero gate replay the block verbatim.
-    Tensor h = x + attended;
-    Tensor ffn_out = blk.ffn().Forward(blk.ln_ffn().Forward(h), rng_);
-    if (blk.ffn_gate().defined()) ffn_out = ffn_out * blk.ffn_gate();
-    if (b + 1 < nb) {
-      x = h + ffn_out;
-    } else {
-      f_row = enc.final_norm().ForwardResidual(h, ffn_out);
-    }
-  }
-  WriteRow(state.f_cache, i, f_row);
 }
 
 Tensor IncrementalScorer::AssembleScaledRelation(const IncrementalState& state,
@@ -255,7 +122,9 @@ int64_t IncrementalScorer::Sync(IncrementalState& state,
         " inconsistent with history length " + std::to_string(n));
   }
 
-  EnsureBuffers(state);
+  if (!state.embed_cache.defined()) {
+    state.embed_cache = Tensor::Zeros({max_seq_len_, dim_});
+  }
 
   // Raw interval rows extend monotonically under appends.
   if (NeedsRelation()) {
@@ -265,44 +134,12 @@ int64_t IncrementalScorer::Sync(IncrementalState& state,
     }
   }
 
-  if (tier_ == IncrementalTier::kPreprocess) {
-    for (int64_t i = state.cached_len; i < n; ++i) {
-      WriteRow(state.embed_cache, i,
-               model_->Embed({pois[static_cast<size_t>(i)]}));
-      ++state.rows_appended;
-    }
-    state.cached_len = n;
-    return 0;
-  }
-
-  int64_t rebuilds = 0;
-  if (NeedsRelation()) {
-    // Every scaled row and encoder row bakes in float(rhat_max); if a new
-    // pair moved the ceiling past its float value, the cached prefix is
-    // stale. Drop it once — the ceiling is monotone and saturates at
-    // kt + kd, so steady-state traffic appends without rebuilding.
-    if (!state.rel_rows.empty() &&
-        static_cast<float>(state.rhat_max) != state.scaled_for_max) {
-      state.rel_rows.clear();
-      if (state.cached_len > 0) {
-        state.cached_len = 0;
-        ++state.rebuilds;
-        rebuilds = 1;
-      }
-    }
-    for (int64_t i = static_cast<int64_t>(state.rel_rows.size()); i < n;
-         ++i) {
-      AppendScaledRow(state, i);
-    }
-    state.scaled_for_max = static_cast<float>(state.rhat_max);
-  }
-
   for (int64_t i = state.cached_len; i < n; ++i) {
-    AppendEncoderRow(state, pois, i);
-    ++state.rows_appended;
+    WriteRow(state.embed_cache, i,
+             model_->Embed({pois[static_cast<size_t>(i)]}));
   }
   state.cached_len = n;
-  return rebuilds;
+  return 0;
 }
 
 std::vector<float> IncrementalScorer::Score(
@@ -319,21 +156,16 @@ std::vector<float> IncrementalScorer::Score(
         "caller's responsibility)");
   }
 
-  Tensor f;
-  if (tier_ == IncrementalTier::kKvCache) {
-    f = ops::Slice(state.f_cache, 0, 0, n);
-  } else {
-    // Encoder rerun over the cached preprocessing: same tensors, same op
-    // order as StisanModel::Encode with first_real = 0.
-    Tensor e = ops::Slice(state.embed_cache, 0, 0, n);
-    e = model_->options_.use_tape ? ApplyTape(e, timestamps, 0)
-                                  : ApplyVanillaPe(e);
-    e = model_->embed_dropout_.Forward(e, rng_);
-    Tensor bias;
-    if (NeedsRelation()) bias = AssembleScaledRelation(state, n);
-    Tensor mask = BuildPaddedCausalMask(n, /*first_real=*/0);
-    f = model_->encoder_->Forward(e, bias, mask, rng_);
-  }
+  // Encoder rerun over the cached preprocessing: same tensors, same op
+  // order as StisanModel::Encode with first_real = 0.
+  Tensor e = ops::Slice(state.embed_cache, 0, 0, n);
+  e = model_->options_.use_tape ? ApplyTape(e, timestamps, 0)
+                                : ApplyVanillaPe(e);
+  e = model_->embed_dropout_.Forward(e, rng_);
+  Tensor bias;
+  if (NeedsRelation()) bias = AssembleScaledRelation(state, n);
+  Tensor mask = BuildPaddedCausalMask(n, /*first_real=*/0);
+  Tensor f = model_->encoder_->Forward(e, bias, mask, rng_);
 
   // Decode stage shared with StisanModel::Score verbatim.
   Tensor c = model_->Embed(candidates);

@@ -1,32 +1,18 @@
-// Incremental (O(new-token)) inference engine for a frozen StisanModel.
+// Incremental inference engine for a frozen StisanModel.
 //
 // Serving appends one check-in at a time to a user's history and rescores
-// candidates after each append. A cold forward recomputes the whole n x n
-// attention block per request; this engine caches per-user state so an
-// append only computes the *new* row of every stage:
-//
-//   kKvCache (use_tape = false): the vanilla sinusoidal PE and the
-//     pre-norm/attention/FFN stack are all row-local given the earlier
-//     keys/values, so the engine caches per-block K/V rows (V' rows in
-//     kRelationOnly mode) plus the final encoder output rows and runs
-//     exactly one query row per append: embed row -> PE row -> per block
-//     LN -> q/k/v projections -> fused attention of the [1, d] query
-//     against the cached [len, d] K/V -> FFN -> final norm row.
-//
-//   kPreprocess (use_tape = true): TAPE's positions are normalised by the
-//     mean time gap of the *whole* sequence, so appending a visit changes
-//     every position and the encoder rows cannot be reused. The engine
-//     still caches the scaled embedding rows and the raw clipped-interval
-//     relation rows (the Haversine work), and reruns the tensor-level
-//     encoder over the cached inputs.
+// candidates after each append. TAPE's positions are normalised by the
+// mean time gap of the *whole* sequence (paper eq. 2-3), so an append
+// changes every position and every encoder row. The engine therefore
+// caches only what an append leaves intact — the scaled embedding rows and
+// the raw clipped-interval relation rows (the Haversine work) — and reruns
+// the tensor-level encoder over the cached inputs at Score time.
 //
 // Relation-matrix coupling: the paper's R is r_hat_max - r_hat with a
 // *global* ceiling r_hat_max = max over all causal pairs. The raw r_hat
-// rows extend monotonically and never invalidate; the softmax-scaled rows
-// and the encoder rows depend on float(r_hat_max), so when a new pair
-// raises the ceiling past its current float value the engine rebuilds the
-// cached prefix once. The ceiling is monotone and clipped at kt + kd, so
-// rebuilds die out quickly on real traffic (counted per state).
+// rows extend monotonically and never invalidate; the softmax-scaled
+// matrix is assembled from them against the current ceiling at every
+// Score, so nothing cached ever needs rebuilding.
 //
 // Bit-identity contract: Score() returns exactly the floats of
 // model->Score({poi = history, t = timestamps, first_real = 0}, cands) —
@@ -43,17 +29,12 @@
 
 namespace stisan::core {
 
-enum class IncrementalTier {
-  kKvCache,     // O(new-token) appends against cached K/V rows
-  kPreprocess,  // cached embeddings + relation rows, encoder rerun (TAPE)
-};
-
 /// Per-user cached state. Histories live with the caller (the session
 /// store); this struct only holds derived caches over the prefix
-/// [0, cached_len) plus append statistics. Reset() drops everything —
-/// eviction keeps the history and pays one cold rebuild on return.
+/// [0, cached_len). Reset() drops everything — eviction keeps the history
+/// and pays one cold rebuild on return.
 struct IncrementalState {
-  // Number of history visits the encoder-stage caches cover.
+  // Number of history visits the caches cover.
   int64_t cached_len = 0;
 
   // Raw clipped-interval rows: row i holds float(r_hat_i0..r_hat_ii),
@@ -63,46 +44,26 @@ struct IncrementalState {
   // Running ceiling in double, matching BuildRelationMatrix's accumulator.
   double rhat_max = 0.0;
 
-  // Softmax-scaled relation rows (replicating SoftmaxScaleRelation row by
-  // row) and the float ceiling they were scaled against. Rebuilt, together
-  // with the encoder rows, when float(rhat_max) moves.
-  std::vector<std::vector<float>> rel_rows;
-  float scaled_for_max = 0.0f;
-
-  // kKvCache: per-block key/value rows ([max_len, d] each; v_cache holds
-  // the V'-projected rows in kRelationOnly mode) and the final encoder
-  // output rows.
-  std::vector<Tensor> k_cache;
-  std::vector<Tensor> v_cache;
-  Tensor f_cache;
-
-  // kPreprocess: scaled embedding rows (post sqrt(d), pre-PE).
+  // Scaled embedding rows (post sqrt(d), pre-PE), [max_len, d].
   Tensor embed_cache;
-
-  // Statistics (monotone; surfaced through the serving obs counters).
-  int64_t rebuilds = 0;       // relation-ceiling invalidations
-  int64_t rows_appended = 0;  // encoder/embedding rows computed
 
   void Reset();
 };
 
-/// Row-at-a-time scorer over a frozen model. The model must outlive the
-/// engine and stay in eval mode while serving (Score() re-asserts it).
-/// Thread-compatible: distinct states may be driven from distinct engines
-/// concurrently, but one state must not be shared across threads.
+/// Scorer over a frozen model. The model must outlive the engine and stay
+/// in eval mode while serving (Score() re-asserts it). Thread-compatible:
+/// distinct states may be driven from distinct engines concurrently, but
+/// one state must not be shared across threads.
 class IncrementalScorer {
  public:
   IncrementalScorer(StisanModel* model, int64_t max_seq_len);
-
-  IncrementalTier tier() const { return tier_; }
-  int64_t max_seq_len() const { return max_seq_len_; }
 
   std::unique_ptr<IncrementalState> NewState() const;
 
   /// Advances the state's caches to cover the full history (pois.size()
   /// must be <= max_seq_len; the caller windows longer histories before
-  /// calling). O(new-token) per uncovered visit on the kKvCache append
-  /// path. Returns the number of ceiling-forced prefix rebuilds (0 or 1).
+  /// calling). Always returns 0: no cached row ever needs rebuilding, and
+  /// the count is kept for callers that sum it into serve/cache_rebuilds.
   int64_t Sync(IncrementalState& state, const std::vector<int64_t>& pois,
                const std::vector<double>& timestamps) const;
 
@@ -115,20 +76,15 @@ class IncrementalScorer {
 
  private:
   bool NeedsRelation() const;
-  void EnsureBuffers(IncrementalState& state) const;
   void AppendRhatRow(IncrementalState& state,
                      const std::vector<int64_t>& pois,
                      const std::vector<double>& timestamps, int64_t i) const;
-  void AppendScaledRow(IncrementalState& state, int64_t i) const;
-  void AppendEncoderRow(IncrementalState& state,
-                        const std::vector<int64_t>& pois, int64_t i) const;
   Tensor AssembleScaledRelation(const IncrementalState& state,
                                 int64_t n) const;
 
   StisanModel* model_;
   int64_t max_seq_len_;
   int64_t dim_;
-  IncrementalTier tier_;
   // Dropout layers take an Rng by reference; in eval mode they are
   // identity and never draw, so this stream stays untouched.
   mutable Rng rng_;

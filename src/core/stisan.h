@@ -101,11 +101,11 @@ class StisanModel : public models::SequentialRecommender, public nn::Module {
                              int64_t first_real);
 
  private:
-  // The incremental serving engine replays this model's eval-mode forward
-  // one row at a time against cached K/V state; it reuses the private
-  // Embed/Preferences stages and the frozen sub-modules directly so the
-  // two paths cannot drift apart (bit-identity is pinned by the serve
-  // test label).
+  // The incremental serving engine caches this model's embedding rows and
+  // relation rows per user and reruns the eval-mode encoder over them; it
+  // reuses the private Embed/Preferences stages and the frozen sub-modules
+  // directly so the two paths cannot drift apart (bit-identity is pinned
+  // by the serve test label).
   friend class IncrementalScorer;
 
   /// Embeds a POI id sequence: POI embedding ⧺ geography encoding.

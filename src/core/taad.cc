@@ -32,20 +32,12 @@ Tensor TaadDecode(const Tensor& candidates, const Tensor& encoder_out,
     }
   }
 
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  if (ops::FusedAttentionEnabled()) {
-    // Attn(C, F, F) in one node; the per-row visibility mask rides in as
-    // the additive bias (it is data-dependent, not triangular, so it cannot
-    // be replaced by the kernel's causal loop bound).
-    return ops::FusedAttention(candidates, encoder_out, encoder_out, mask,
-                               /*causal=*/false, scale);
-  }
-  // Composed reference: TransposeLast2 is a zero-copy view; MatMul reads it
-  // in place through the fused transposed-GEMM path.
-  Tensor logits = ops::MulScalar(
-      ops::MatMul(candidates, ops::TransposeLast2(encoder_out)), scale);
-  Tensor att = ops::Softmax(logits + mask);
-  return ops::MatMul(att, encoder_out);
+  // Attn(C, F, F) in one node; the per-row visibility mask rides in as the
+  // additive bias (it is data-dependent, not triangular, so it cannot be
+  // replaced by the kernel's causal loop bound).
+  return ops::FusedAttention(candidates, encoder_out, encoder_out, mask,
+                             /*causal=*/false,
+                             1.0f / std::sqrt(static_cast<float>(d)));
 }
 
 Tensor TaadDecodeBatch(const Tensor& candidates, const Tensor& encoder_out,
@@ -75,15 +67,9 @@ Tensor TaadDecodeBatch(const Tensor& candidates, const Tensor& encoder_out,
     }
   }
 
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  if (ops::FusedAttentionEnabled()) {
-    return ops::FusedAttention(candidates, encoder_out, encoder_out, mask,
-                               /*causal=*/false, scale);
-  }
-  Tensor logits = ops::MulScalar(
-      ops::MatMul(candidates, ops::TransposeLast2(encoder_out)), scale);
-  Tensor att = ops::Softmax(logits + mask);
-  return ops::MatMul(att, encoder_out);
+  return ops::FusedAttention(candidates, encoder_out, encoder_out, mask,
+                             /*causal=*/false,
+                             1.0f / std::sqrt(static_cast<float>(d)));
 }
 
 Tensor MatchScores(const Tensor& preferences, const Tensor& candidates) {

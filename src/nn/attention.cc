@@ -9,8 +9,8 @@ namespace stisan::nn {
 
 Tensor BuildCausalMask(int64_t n) {
   // Memoised per length: the mask content depends only on n and is
-  // gradient-free, so every forward of the composed path can share one
-  // tensor instead of re-materialising O(n²) floats.
+  // gradient-free, so every AttentionMap probe can share one tensor instead
+  // of re-materialising O(n²) floats.
   static std::mutex mu;
   static auto* cache = new std::unordered_map<int64_t, Tensor>();
   std::lock_guard<std::mutex> lock(mu);
@@ -50,42 +50,22 @@ CausalSelfAttention::CausalSelfAttention(int64_t dim, float dropout, Rng& rng,
 
 Tensor CausalSelfAttention::HeadAttention(const Tensor& q, const Tensor& k,
                                           const Tensor& v, const Tensor& bias,
-                                          int64_t n, Rng& rng,
-                                          bool with_dropout) const {
-  // The softmax scale uses the head width (last dim) for any rank.
-  const int64_t dk = q.shape().back();
-  const float scale = 1.0f / std::sqrt(float(dk));
+                                          int64_t n, Rng& rng) const {
   if (bias.defined()) {
     STISAN_CHECK(bias.shape() == (Shape{n, n}) ||
                  (bias.dim() == q.dim() && bias.size(-2) == n &&
                   bias.size(-1) == n));
   }
-  if (ops::FusedAttentionEnabled()) {
-    // Single node: causality via loop bounds, bias added inside the fused
-    // logit pass, dropout drawn from the same RNG stream as ops::Dropout.
-    ops::FusedAttentionOptions options;
-    options.causal = causal_;
-    options.scale = scale;
-    if (with_dropout) {
-      options.dropout_p = dropout_.p();
-      options.rng = &rng;
-      options.training = dropout_.training();
-    }
-    return ops::FusedAttention(q, k, v, bias, options);
-  }
-  // Composed reference path (STISAN_FUSED_ATTENTION=0): TransposeLast2
-  // yields a zero-copy view; when k is a contiguous matrix MatMul consumes
-  // it in place through the fused transposed-GEMM path.
-  Tensor logits = ops::MulScalar(ops::MatMul(q, ops::TransposeLast2(k)),
-                                 scale);
-  if (causal_) logits = logits + BuildCausalMask(n);
-  if (bias.defined()) {
-    // [n, n] biases broadcast over the batch of [b, n, n] logits.
-    logits = logits + bias;
-  }
-  Tensor att = ops::Softmax(logits);
-  if (with_dropout) att = dropout_.Forward(att, rng);
-  return ops::MatMul(att, v);
+  // Single node: causality via loop bounds, bias added inside the fused
+  // logit pass, dropout drawn from the same RNG stream as ops::Dropout. The
+  // softmax scale uses the head width (last dim) for any rank.
+  ops::FusedAttentionOptions options;
+  options.causal = causal_;
+  options.scale = 1.0f / std::sqrt(float(q.shape().back()));
+  options.dropout_p = dropout_.p();
+  options.rng = &rng;
+  options.training = dropout_.training();
+  return ops::FusedAttention(q, k, v, bias, options);
 }
 
 Tensor CausalSelfAttention::Forward(const Tensor& x, const Tensor& bias,
@@ -100,7 +80,7 @@ Tensor CausalSelfAttention::Forward(const Tensor& x, const Tensor& bias,
   Tensor k = wk_.Forward(x);
   Tensor v = wv_.Forward(x);
   if (num_heads_ == 1) {
-    return HeadAttention(q, k, v, bias, n, rng, /*with_dropout=*/true);
+    return HeadAttention(q, k, v, bias, n, rng);
   }
   // Multi-head: slice the last dim into head-sized columns (zero-copy
   // strided views over q/k/v), attend per head, concatenate. The additive
@@ -112,8 +92,7 @@ Tensor CausalSelfAttention::Forward(const Tensor& x, const Tensor& bias,
     Tensor head = HeadAttention(
         ops::Slice(q, last, h * dk, (h + 1) * dk),
         ops::Slice(k, last, h * dk, (h + 1) * dk),
-        ops::Slice(v, last, h * dk, (h + 1) * dk), bias, n, rng,
-        /*with_dropout=*/true);
+        ops::Slice(v, last, h * dk, (h + 1) * dk), bias, n, rng);
     out = out.defined() ? ops::Concat(out, head, last) : head;
   }
   return out;
@@ -133,28 +112,6 @@ Tensor CausalSelfAttention::AttentionMap(const Tensor& x,
   if (causal_) logits = logits + BuildCausalMask(n);
   if (bias.defined()) logits = logits + bias;
   return ops::Softmax(logits);
-}
-
-Tensor CrossAttention::Forward(const Tensor& queries,
-                               const Tensor& keys_values,
-                               const Tensor& mask) const {
-  STISAN_CHECK_EQ(queries.size(1), dim_);
-  STISAN_CHECK_EQ(keys_values.size(1), dim_);
-  const float scale = 1.0f / std::sqrt(float(dim_));
-  if (ops::FusedAttentionEnabled()) {
-    // Attn(C, F, F): keys and values alias one buffer; the fused backward's
-    // phase order (dV before dK) matches the composed tape.
-    return ops::FusedAttention(queries, keys_values, keys_values, mask,
-                               /*causal=*/false, scale);
-  }
-  Tensor logits = ops::MulScalar(
-      ops::MatMul(queries, ops::TransposeLast2(keys_values)), scale);
-  if (mask.defined()) {
-    STISAN_CHECK(mask.shape() == logits.shape());
-    logits = logits + mask;
-  }
-  Tensor att = ops::Softmax(logits);
-  return ops::MatMul(att, keys_values);
 }
 
 }  // namespace stisan::nn

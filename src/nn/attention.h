@@ -1,5 +1,5 @@
-// Attention primitives: causal self-attention (with optional additive
-// relation bias — the hook IAAB uses) and cross-attention (used by TAAD).
+// Attention primitive: causal self-attention with an optional additive
+// relation bias — the hook IAAB uses.
 
 #pragma once
 
@@ -11,8 +11,8 @@ namespace stisan::nn {
 /// Builds an [n, n] additive causal mask: 0 on/below the diagonal, -1e9
 /// strictly above (prevents information leakage, paper §III-D). Memoised per
 /// length behind a mutex — callers share one gradient-free tensor and must
-/// not mutate it. Only the composed (STISAN_FUSED_ATTENTION=0) path needs
-/// it; the fused kernel applies causality by loop bounds.
+/// not mutate it. Only the AttentionMap probe needs it; the fused kernel
+/// applies causality by loop bounds.
 Tensor BuildCausalMask(int64_t n);
 
 /// Single-head scaled dot-product self-attention with a causal mask
@@ -23,12 +23,11 @@ Tensor BuildCausalMask(int64_t n);
 /// softmax; passing the softmax-scaled spatial-temporal relation matrix here
 /// turns this layer into the paper's Interval Aware Attention Layer. Biases
 /// that require grad (e.g. TiSASRec's learned bucket bias) receive
-/// gradients through either lowering.
+/// gradients.
 ///
-/// Lowering: by default the whole softmax(qkᵀ·scale + mask + bias)v chain
-/// runs as one ops::FusedAttention node; STISAN_FUSED_ATTENTION=0 selects
-/// the composed per-op reference path. Both produce bit-identical outputs
-/// and gradients.
+/// Lowering: the whole softmax(qkᵀ·scale + mask + bias)v chain runs as one
+/// ops::FusedAttention node per head. tests/fused_attention_test.cpp keeps
+/// the composed per-op chain as its bit-exactness oracle.
 class CausalSelfAttention : public Module {
  public:
   /// `causal` = false disables the built-in causal mask (bidirectional
@@ -57,19 +56,10 @@ class CausalSelfAttention : public Module {
   int64_t num_heads() const { return num_heads_; }
   bool causal() const { return causal_; }
 
-  // Projection accessors for incremental (row-at-a-time) inference: the
-  // serving engine applies wq/wk/wv to a single new row and replays the
-  // same fused-attention arithmetic against cached K/V rows (src/core/
-  // incremental.{h,cc}). Read-only use.
-  const Linear& wq() const { return wq_; }
-  const Linear& wk() const { return wk_; }
-  const Linear& wv() const { return wv_; }
-
  private:
   /// Softmax(Q K^T / sqrt(dk) + masks) V for one head's [n, dk] slices.
   Tensor HeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                       const Tensor& bias, int64_t n, Rng& rng,
-                       bool with_dropout) const;
+                       const Tensor& bias, int64_t n, Rng& rng) const;
 
   int64_t dim_;
   int64_t num_heads_;
@@ -78,23 +68,6 @@ class CausalSelfAttention : public Module {
   Linear wk_;
   Linear wv_;
   Dropout dropout_;
-};
-
-/// Cross-attention Attn(C, F, F) = Softmax(C F^T / sqrt(d)) F used by the
-/// Target Aware Attention Decoder (paper eq. 10).
-///
-/// The optional additive mask (e.g. to hide padded history steps) is an
-/// [m, n] matrix added to the logits.
-class CrossAttention : public Module {
- public:
-  explicit CrossAttention(int64_t dim) : dim_(dim) {}
-
-  /// queries: [m, d], keys_values: [n, d], mask: [m, n] or undefined.
-  Tensor Forward(const Tensor& queries, const Tensor& keys_values,
-                 const Tensor& mask) const;
-
- private:
-  int64_t dim_;
 };
 
 }  // namespace stisan::nn

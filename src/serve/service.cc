@@ -23,7 +23,6 @@ struct ServeMetrics {
   obs::Counter& fallback = obs::GetCounter("serve/fallback_scored");
   obs::Counter& cold_starts = obs::GetCounter("serve/cold_starts");
   obs::Counter& cold_builds = obs::GetCounter("serve/cold_builds");
-  obs::Counter& rebuilds = obs::GetCounter("serve/cache_rebuilds");
   obs::Counter& evictions = obs::GetCounter("serve/evictions");
   obs::Counter& overflows = obs::GetCounter("serve/overflows");
   obs::Counter& shed = obs::GetCounter("serve/shed");
@@ -538,8 +537,6 @@ void RecommendService::ServeScore(Op& op, std::vector<Op>* pending) {
         static_cast<uint64_t>(store_.evictions() - evictions_before));
     if (s.state->cached_len == 0 && len > 1) m.cold_builds.Inc();
     if (inj != nullptr) inj->MaybeThrowOnScore();
-    const int64_t rebuilds = engine_->Sync(*s.state, s.pois, s.timestamps);
-    m.rebuilds.Inc(static_cast<uint64_t>(rebuilds));
     std::vector<float> scores =
         engine_->Score(*s.state, s.pois, s.timestamps, op.candidates);
     m.incremental.Inc();

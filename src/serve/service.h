@@ -10,8 +10,9 @@
 //
 // A single worker drains the queue (optionally waiting a coalescing window
 // so concurrent requests batch), applies appends in arrival order, serves
-// incremental-capable requests straight from the user's cached state
-// (core::IncrementalScorer — O(new-token) per append), and coalesces the
+// incremental-capable requests from the user's cached state
+// (core::IncrementalScorer: cached embedding and relation rows, encoder
+// rerun per score), and coalesces the
 // rest (non-STiSAN models, histories past the serving window) into the
 // model's eval::BatchScorer padded-[B, n, d] path, grouped by sequence
 // length. Per-user FIFO ordering is preserved: a queued fallback score
@@ -47,8 +48,8 @@
 //
 // Observability (src/obs): counters serve/appends, serve/requests,
 // serve/incremental_scored, serve/fallback_scored, serve/cold_starts,
-// serve/cache_rebuilds, serve/cold_builds, serve/evictions,
-// serve/overflows, serve/shed, serve/rejected, serve/deadline_exceeded,
+// serve/cold_builds, serve/evictions, serve/overflows, serve/shed,
+// serve/rejected, serve/deadline_exceeded,
 // serve/batch_failures, serve/stale_served, serve/invalid_requests,
 // serve/catalog_requests; histograms time/serve/request (enqueue ->
 // fulfil), serve/queue_wait (enqueue -> dequeue), serve/queue_depth,

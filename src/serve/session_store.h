@@ -1,12 +1,12 @@
 // Per-user session store for the serving runtime.
 //
 // A session is a user's append-only check-in history plus, optionally, the
-// heavy incremental cache state (per-block K/V rows etc., see
+// incremental cache state (embedding and relation rows, see
 // core/incremental.h). Histories are cheap (two scalars per visit) and are
-// kept for every user ever seen; the cache states are ~O(max_len * d *
-// blocks) floats each, so only `max_resident` of them stay materialised,
-// evicted LRU by user. An evicted session keeps its history and pays one
-// cold cache rebuild when the user returns.
+// kept for every user ever seen; the cache states are ~O(max_len * d +
+// max_len^2 / 2) floats each, so only `max_resident` of them stay
+// materialised, evicted LRU by user. An evicted session keeps its history
+// and pays one cold cache rebuild when the user returns.
 //
 // Single-threaded by design: the service serialises all access through its
 // op queue (one worker), which is also what makes eviction order — and

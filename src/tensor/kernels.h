@@ -48,22 +48,24 @@ void SetNumThreads(int64_t threads);
 // The forward hot kernels (Gemm, BatchedGemm, SoftmaxRows, LogSoftmaxRows,
 // LayerNormRows, FusedAttentionForward) have explicitly vectorized
 // implementations in kernels_simd.cc (AVX2+FMA via runtime CPU detection on
-// x86-64, NEON on aarch64). They are ON by default when the CPU supports
-// them; STISAN_SIMD=0 is the kill switch. Backward kernels always run the
-// scalar reference — the scalar path stays the bit-exactness baseline for
-// training and gradcheck, and the golden-metrics harness pins it explicitly.
+// x86-64; every other CPU runs the scalar kernels). They are ON by default
+// when the CPU supports them; STISAN_SIMD=0 is the kill switch. Backward
+// kernels always run the scalar reference — the scalar path stays the
+// bit-exactness baseline for training and gradcheck, and the golden-metrics
+// harness pins it explicitly.
 //
 // The vector kernels keep the determinism contract above (each output
 // element's reduction order depends only on the reduction length, never on
 // thread partitioning), so incremental-vs-full serving identity, batched-vs-
 // single eval identity, and thread-count determinism all survive SIMD. They
-// are NOT bit-identical to the scalar kernels, and fused-vs-composed
-// attention equivalence holds only under the scalar backend.
+// are NOT bit-identical to the scalar kernels, and fused attention matches
+// the composed op chain (the test oracle) bit for bit only under the
+// scalar backend.
 
 /// True when the next kernel call will take the vector path.
 bool SimdEnabled();
 
-/// "avx2", "neon", or "scalar" — the backend the next kernel call uses.
+/// "avx2" or "scalar" — the backend the next kernel call uses.
 const char* SimdBackendName();
 
 /// Override for tests/tools: 1 forces the vector path (if the CPU has one),

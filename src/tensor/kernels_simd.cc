@@ -7,10 +7,6 @@
 #define STISAN_SIMD_X86 1
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__)
-#define STISAN_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace stisan::kernels::simd {
 
@@ -404,197 +400,11 @@ bool HasAvx2() {
 
 #endif  // STISAN_SIMD_X86
 
-#if STISAN_SIMD_NEON
-
-// ---- NEON (aarch64 baseline, no runtime check needed) ----------------------
-
-inline float32x4_t Exp128(float32x4_t x) {
-  x = vminq_f32(x, vdupq_n_f32(88.3762626647950f));
-  x = vmaxq_f32(x, vdupq_n_f32(-88.3762626647949f));
-  float32x4_t fx = vfmaq_f32(vdupq_n_f32(0.5f), x,
-                             vdupq_n_f32(1.44269504088896341f));
-  fx = vrndmq_f32(fx);
-  x = vsubq_f32(x, vmulq_f32(fx, vdupq_n_f32(0.693359375f)));
-  x = vsubq_f32(x, vmulq_f32(fx, vdupq_n_f32(-2.12194440e-4f)));
-  const float32x4_t z = vmulq_f32(x, x);
-  float32x4_t y = vdupq_n_f32(1.9875691500e-4f);
-  y = vfmaq_f32(vdupq_n_f32(1.3981999507e-3f), y, x);
-  y = vfmaq_f32(vdupq_n_f32(8.3334519073e-3f), y, x);
-  y = vfmaq_f32(vdupq_n_f32(4.1665795894e-2f), y, x);
-  y = vfmaq_f32(vdupq_n_f32(1.6666665459e-1f), y, x);
-  y = vfmaq_f32(vdupq_n_f32(5.0000001201e-1f), y, x);
-  y = vfmaq_f32(x, y, z);
-  y = vaddq_f32(y, vdupq_n_f32(1.0f));
-  int32x4_t n = vcvtq_s32_f32(fx);
-  n = vaddq_s32(n, vdupq_n_s32(0x7f));
-  n = vshlq_n_s32(n, 23);
-  return vmulq_f32(y, vreinterpretq_f32_s32(n));
-}
-
-inline float DotNeon(const float* a, const float* b, int64_t k) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  int64_t i = 0;
-  for (; i + 4 <= k; i += 4)
-    acc = vfmaq_f32(acc, vld1q_f32(a + i), vld1q_f32(b + i));
-  float s = vaddvq_f32(acc);
-  for (; i < k; ++i) s += a[i] * b[i];
-  return s;
-}
-
-inline void AxpyNeon(float av, const float* x, float* y, int64_t n) {
-  const float32x4_t va = vdupq_n_f32(av);
-  int64_t j = 0;
-  for (; j + 4 <= n; j += 4)
-    vst1q_f32(y + j, vfmaq_f32(vld1q_f32(y + j), va, vld1q_f32(x + j)));
-  for (; j < n; ++j) y[j] += av * x[j];
-}
-
-void GemmRowRangeNeon(const float* a, const float* b, float* c, int64_t m,
-                      int64_t k, int64_t n, bool ta, bool tb, int64_t i0,
-                      int64_t i1) {
-  if (!ta && !tb) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* crow = c + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = a[i * k + p];
-        if (av == 0.0f) continue;
-        AxpyNeon(av, b + p * n, crow, n);
-      }
-    }
-  } else if (!ta && tb) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * k;
-      for (int64_t j = 0; j < n; ++j)
-        c[i * n + j] += DotNeon(arow, b + j * k, k);
-    }
-  } else {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* crow = c + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = a[p * m + i];
-        if (av == 0.0f) continue;
-        AxpyNeon(av, b + p * n, crow, n);
-      }
-    }
-  }
-}
-
-void RowSoftmaxNeon(const float* x, float* y, int64_t d) {
-  if (d < 4) {
-    RowSoftmaxScalar(x, y, d);
-    return;
-  }
-  float32x4_t vmx = vld1q_f32(x);
-  int64_t j = 4;
-  for (; j + 4 <= d; j += 4) vmx = vmaxq_f32(vmx, vld1q_f32(x + j));
-  float mx = vmaxvq_f32(vmx);
-  for (; j < d; ++j) mx = std::max(mx, x[j]);
-  const float32x4_t vm = vdupq_n_f32(mx);
-  float32x4_t vsum = vdupq_n_f32(0.0f);
-  for (j = 0; j + 4 <= d; j += 4) {
-    const float32x4_t e = Exp128(vsubq_f32(vld1q_f32(x + j), vm));
-    vst1q_f32(y + j, e);
-    vsum = vaddq_f32(vsum, e);
-  }
-  float sum = vaddvq_f32(vsum);
-  for (; j < d; ++j) {
-    y[j] = std::exp(x[j] - mx);
-    sum += y[j];
-  }
-  const float inv = 1.0f / sum;
-  const float32x4_t vinv = vdupq_n_f32(inv);
-  for (j = 0; j + 4 <= d; j += 4)
-    vst1q_f32(y + j, vmulq_f32(vld1q_f32(y + j), vinv));
-  for (; j < d; ++j) y[j] *= inv;
-}
-
-void LogSoftmaxRowNeon(const float* x, float* y, int64_t d) {
-  if (d < 4) {
-    LogSoftmaxRowScalar(x, y, d);
-    return;
-  }
-  float32x4_t vmx = vld1q_f32(x);
-  int64_t j = 4;
-  for (; j + 4 <= d; j += 4) vmx = vmaxq_f32(vmx, vld1q_f32(x + j));
-  float mx = vmaxvq_f32(vmx);
-  for (; j < d; ++j) mx = std::max(mx, x[j]);
-  const float32x4_t vm = vdupq_n_f32(mx);
-  float32x4_t vsum = vdupq_n_f32(0.0f);
-  for (j = 0; j + 4 <= d; j += 4)
-    vsum = vaddq_f32(vsum, Exp128(vsubq_f32(vld1q_f32(x + j), vm)));
-  float sum = vaddvq_f32(vsum);
-  for (; j < d; ++j) sum += std::exp(x[j] - mx);
-  const float lse = mx + std::log(sum);
-  const float32x4_t vlse = vdupq_n_f32(lse);
-  for (j = 0; j + 4 <= d; j += 4)
-    vst1q_f32(y + j, vsubq_f32(vld1q_f32(x + j), vlse));
-  for (; j < d; ++j) y[j] = x[j] - lse;
-}
-
-void LayerNormRowNeon(const float* xr, const float* gamma, const float* beta,
-                      float* yr, float* mu, float* is_out, int64_t d,
-                      float eps) {
-  if (d < 4) {
-    LayerNormRowScalar(xr, gamma, beta, yr, mu, is_out, d, eps);
-    return;
-  }
-  float32x4_t vsum = vdupq_n_f32(0.0f);
-  int64_t j = 0;
-  for (; j + 4 <= d; j += 4) vsum = vaddq_f32(vsum, vld1q_f32(xr + j));
-  float m = vaddvq_f32(vsum);
-  for (; j < d; ++j) m += xr[j];
-  m /= static_cast<float>(d);
-  const float32x4_t vmean = vdupq_n_f32(m);
-  float32x4_t vvar = vdupq_n_f32(0.0f);
-  for (j = 0; j + 4 <= d; j += 4) {
-    const float32x4_t cdiff = vsubq_f32(vld1q_f32(xr + j), vmean);
-    vvar = vfmaq_f32(vvar, cdiff, cdiff);
-  }
-  float var = vaddvq_f32(vvar);
-  for (; j < d; ++j) {
-    const float c = xr[j] - m;
-    var += c * c;
-  }
-  var /= static_cast<float>(d);
-  const float is = 1.0f / std::sqrt(var + eps);
-  *mu = m;
-  *is_out = is;
-  const float32x4_t vis = vdupq_n_f32(is);
-  for (j = 0; j + 4 <= d; j += 4) {
-    const float32x4_t centered = vsubq_f32(vld1q_f32(xr + j), vmean);
-    const float32x4_t scaled = vmulq_f32(vld1q_f32(gamma + j), centered);
-    vst1q_f32(yr + j, vfmaq_f32(vld1q_f32(beta + j), scaled, vis));
-  }
-  for (; j < d; ++j) yr[j] = gamma[j] * (xr[j] - m) * is + beta[j];
-}
-
-void AttentionRowNeon(const float* qrow, const float* kblk, const float* vblk,
-                      const float* brow, const float* mrow, float* prow,
-                      float* orow, int64_t bound, int64_t d, float scale) {
-  for (int64_t j = 0; j < bound; ++j) {
-    float x = DotNeon(qrow, kblk + j * d, d) * scale;
-    if (brow != nullptr) x += brow[j];
-    prow[j] = x;
-  }
-  RowSoftmaxNeon(prow, prow, bound);
-  std::fill(orow, orow + d, 0.0f);
-  for (int64_t j = 0; j < bound; ++j) {
-    float av = prow[j];
-    if (mrow != nullptr) av *= mrow[j];
-    if (av == 0.0f) continue;
-    AxpyNeon(av, vblk + j * d, orow, d);
-  }
-}
-
-#endif  // STISAN_SIMD_NEON
-
 }  // namespace
 
 bool Available() {
 #if STISAN_SIMD_X86
   return HasAvx2();
-#elif STISAN_SIMD_NEON
-  return true;
 #else
   return false;
 #endif
@@ -603,8 +413,6 @@ bool Available() {
 const char* Name() {
 #if STISAN_SIMD_X86
   return "avx2";
-#elif STISAN_SIMD_NEON
-  return "neon";
 #else
   return "scalar";
 #endif
@@ -623,9 +431,6 @@ void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
     GemmRowRangeAvx2(a, b, c, m, k, n, ta, tb, i0, i1);
     return;
   }
-#elif STISAN_SIMD_NEON
-  GemmRowRangeNeon(a, b, c, m, k, n, ta, tb, i0, i1);
-  return;
 #endif
   GemmRowRangeScalar(a, b, c, m, k, n, ta, tb, i0, i1);
 }
@@ -638,9 +443,6 @@ void SoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
       RowSoftmaxAvx2(x + r * d, y + r * d, d);
       continue;
     }
-#elif STISAN_SIMD_NEON
-    RowSoftmaxNeon(x + r * d, y + r * d, d);
-    continue;
 #endif
     RowSoftmaxScalar(x + r * d, y + r * d, d);
   }
@@ -654,9 +456,6 @@ void LogSoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
       LogSoftmaxRowAvx2(x + r * d, y + r * d, d);
       continue;
     }
-#elif STISAN_SIMD_NEON
-    LogSoftmaxRowNeon(x + r * d, y + r * d, d);
-    continue;
 #endif
     LogSoftmaxRowScalar(x + r * d, y + r * d, d);
   }
@@ -672,10 +471,6 @@ void LayerNormRowRange(const float* x, const float* gamma, const float* beta,
                        inv_sigma + r, d, eps);
       continue;
     }
-#elif STISAN_SIMD_NEON
-    LayerNormRowNeon(x + r * d, gamma, beta, y + r * d, mu + r, inv_sigma + r,
-                     d, eps);
-    continue;
 #endif
     LayerNormRowScalar(x + r * d, gamma, beta, y + r * d, mu + r,
                        inv_sigma + r, d, eps);
@@ -691,9 +486,6 @@ void AttentionRow(const float* qrow, const float* kblk, const float* vblk,
                      scale);
     return;
   }
-#elif STISAN_SIMD_NEON
-  AttentionRowNeon(qrow, kblk, vblk, brow, mrow, prow, orow, bound, d, scale);
-  return;
 #endif
   AttentionRowScalar(qrow, kblk, vblk, brow, mrow, prow, orow, bound, d,
                      scale);

@@ -1,10 +1,10 @@
 // Vectorized kernel backend (internal to src/tensor and benchmarks).
 //
 // Explicit SIMD implementations of the hot forward kernels: AVX2+FMA on
-// x86-64 (selected by runtime CPU detection) and NEON on aarch64. The
-// scalar loops in kernels.cc remain the bit-exactness reference; dispatch
-// between the two lives in kernels.cc behind kernels::SimdEnabled()
-// (STISAN_SIMD=0 kill switch).
+// x86-64, selected by runtime CPU detection. Every other CPU runs the
+// scalar loops in kernels.cc, which remain the bit-exactness reference;
+// dispatch between the two lives in kernels.cc behind
+// kernels::SimdEnabled() (STISAN_SIMD=0 kill switch).
 //
 // Determinism contract (same as the scalar backend): the reduction order of
 // every output element depends only on the reduction length and absolute
@@ -13,8 +13,9 @@
 // vs full scoring, batched vs single eval, and any-thread-count runs stay
 // bit-identical to each other under SIMD. What is NOT promised under SIMD:
 // bit-identity to the scalar backend (FMA + lane-parallel partial sums round
-// differently), and fused-vs-composed attention equivalence (the composed
-// path's full-row softmax sums masked exp-underflow terms lane-wise).
+// differently), and fused attention's bit-identity to the composed op chain
+// kept as its test oracle (the composed full-row softmax sums masked
+// exp-underflow terms lane-wise).
 
 #pragma once
 
@@ -23,10 +24,11 @@
 namespace stisan::kernels::simd {
 
 /// True when a vector backend exists for this CPU (AVX2+FMA detected at
-/// runtime on x86-64, or compiled for aarch64). Cached after the first call.
+/// runtime on x86-64). Cached after the first call.
 bool Available();
 
-/// "avx2" or "neon". Meaningful only when Available().
+/// "avx2", or "scalar" on a build without the x86-64 backend. Meaningful
+/// only when Available().
 const char* Name();
 
 /// Row-range GEMM, same semantics as the scalar GemmRowRange in kernels.cc:

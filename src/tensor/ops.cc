@@ -1,9 +1,7 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "tensor/kernels.h"
@@ -1054,27 +1052,6 @@ Tensor Dropout(const Tensor& a_in, float p, Rng& rng, bool training) {
 }
 
 // ---- Fused attention ----------------------------------------------------------
-
-namespace {
-
-// -1 = follow STISAN_FUSED_ATTENTION (default on), 0/1 = forced.
-std::atomic<int> g_fused_attention_override{-1};
-
-}  // namespace
-
-bool FusedAttentionEnabled() {
-  const int ov = g_fused_attention_override.load(std::memory_order_relaxed);
-  if (ov >= 0) return ov != 0;
-  static const bool env_on = [] {
-    const char* v = std::getenv("STISAN_FUSED_ATTENTION");
-    return !(v != nullptr && v[0] == '0' && v[1] == '\0');
-  }();
-  return env_on;
-}
-
-void SetFusedAttentionEnabled(int value) {
-  g_fused_attention_override.store(value, std::memory_order_relaxed);
-}
 
 Tensor FusedAttention(const Tensor& q_in, const Tensor& k_in,
                       const Tensor& v_in, const Tensor& bias_in,

@@ -169,13 +169,6 @@ Tensor FusedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
 Tensor FusedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                       const Tensor& bias, bool causal, float scale);
 
-/// True when attention layers should lower through FusedAttention (the
-/// default). STISAN_FUSED_ATTENTION=0 selects the composed reference path;
-/// SetFusedAttentionEnabled overrides the environment (1 on, 0 off, -1
-/// restore) for tests and benchmarks.
-bool FusedAttentionEnabled();
-void SetFusedAttentionEnabled(int value);
-
 /// Fused relu(x + b) for a trailing bias vector b ([d] against x [..., d]):
 /// one autograd node instead of the Add + Relu pair. Forward values,
 /// gradients, and accumulation order are bit-identical to the composed

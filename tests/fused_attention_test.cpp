@@ -3,9 +3,10 @@
 // Covers the ops::FusedAttention contract from three angles:
 //  1. analytic gradients vs central finite differences (bias/no-bias,
 //     causal/non-causal, 2-D and padded-batch 3-D),
-//  2. bit-equivalence against the composed per-op reference lowering
-//     (STISAN_FUSED_ATTENTION=0) for forward, input grads, parameter grads,
-//     learned-bias grads and the dropout RNG stream,
+//  2. bit-equivalence of the production attention layers
+//     (CausalSelfAttention, TaadDecode, TaadDecodeBatch) against the
+//     composed per-op chain, built here from public ops as the oracle:
+//     forward, input grads, learned-bias grads and the dropout RNG stream,
 //  3. bit-determinism across thread counts on shapes large enough to
 //     actually split in ParallelRanges.
 //
@@ -28,13 +29,6 @@
 
 namespace stisan {
 namespace {
-
-// Forces a fused/composed lowering for the test's lifetime.
-class ScopedFused {
- public:
-  explicit ScopedFused(bool on) { ops::SetFusedAttentionEnabled(on ? 1 : 0); }
-  ~ScopedFused() { ops::SetFusedAttentionEnabled(-1); }
-};
 
 // Pins the scalar reference kernels. Fused-vs-composed bit-equivalence is
 // only promised under the scalar backend: the vector kernels' lane-parallel
@@ -126,10 +120,108 @@ TEST(FusedGradCheck, PaddedBatchMaskedBias) {
       q, k, v);
 }
 
-// ---- 2. Fused vs composed bit-equivalence ----------------------------------
+// ---- 2. Fused vs the composed oracle ---------------------------------------
 
-// Runs module `fn` twice — composed then fused — on freshly-built identical
-// inputs and returns {forward values, input grads} for each.
+// The composed per-op chain
+//   Dropout(Softmax(q kᵀ · scale [+ causal mask] [+ bias])) v,
+// in the op order whose rounding the fused node reproduces: TransposeLast2
+// is a zero-copy view that MatMul reads in place, and the mask and bias are
+// separate adds.
+Tensor ComposedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                         const Tensor& bias, bool causal, float scale,
+                         float dropout_p, bool training, Rng& rng) {
+  Tensor logits = ops::MulScalar(ops::MatMul(q, ops::TransposeLast2(k)),
+                                 scale);
+  if (causal) logits = logits + nn::BuildCausalMask(q.size(-2));
+  if (bias.defined()) logits = logits + bias;
+  Tensor att = ops::Dropout(ops::Softmax(logits), dropout_p, rng, training);
+  return ops::MatMul(att, v);
+}
+
+// CausalSelfAttention::Forward through the oracle. The module's projections
+// are read from Parameters() ({W_q, W_k, W_v}; Linear::Forward without bias
+// is MatMul(x, W)); heads are column slices of q/k/v, concatenated.
+Tensor ComposedSelfAttention(const nn::CausalSelfAttention& attn,
+                             const Tensor& x, const Tensor& bias,
+                             float dropout_p, Rng& rng) {
+  const std::vector<Tensor> w = attn.Parameters();
+  EXPECT_EQ(w.size(), 3u);
+  const Tensor q = ops::MatMul(x, w[0]);
+  const Tensor k = ops::MatMul(x, w[1]);
+  const Tensor v = ops::MatMul(x, w[2]);
+  const int64_t heads = attn.num_heads();
+  const int64_t dk = attn.dim() / heads;
+  const float scale = 1.0f / std::sqrt(float(dk));
+  if (heads == 1) {
+    return ComposedAttention(q, k, v, bias, attn.causal(), scale, dropout_p,
+                             attn.training(), rng);
+  }
+  const int64_t last = x.dim() - 1;
+  Tensor out;
+  for (int64_t h = 0; h < heads; ++h) {
+    Tensor head = ComposedAttention(
+        ops::Slice(q, last, h * dk, (h + 1) * dk),
+        ops::Slice(k, last, h * dk, (h + 1) * dk),
+        ops::Slice(v, last, h * dk, (h + 1) * dk), bias, attn.causal(),
+        scale, dropout_p, attn.training(), rng);
+    out = out.defined() ? ops::Concat(out, head, last) : head;
+  }
+  return out;
+}
+
+// TAAD's visibility rule, restated independently of src/core: the query
+// for step s sees keys first_real..s, and always its own step s (a query
+// inside the padding sees only itself).
+bool TaadVisible(int64_t j, int64_t step, int64_t first_real) {
+  return j == step || (j >= first_real && j < step);
+}
+
+// TaadDecode through the oracle: Attn(C, F, F) with one mask row per
+// candidate.
+Tensor ComposedTaadDecode(const Tensor& c, const Tensor& f,
+                          const std::vector<int64_t>& step_of_row,
+                          int64_t first_real) {
+  const int64_t m = c.size(0);
+  const int64_t n = f.size(0);
+  Tensor mask = Tensor::Zeros({m, n});
+  for (int64_t r = 0; r < m; ++r) {
+    for (int64_t j = 0; j < n; ++j) {
+      if (!TaadVisible(j, step_of_row[size_t(r)], first_real)) {
+        mask.data()[r * n + j] = -1e9f;
+      }
+    }
+  }
+  Rng unused(0);
+  return ComposedAttention(c, f, f, mask, /*causal=*/false,
+                           1.0f / std::sqrt(float(c.size(1))),
+                           /*dropout_p=*/0.0f, /*training=*/false, unused);
+}
+
+// TaadDecodeBatch through the oracle: every row of sequence b decodes at
+// the last step n-1 with its own first_real.
+Tensor ComposedTaadDecodeBatch(const Tensor& c, const Tensor& f,
+                               const std::vector<int64_t>& first_real) {
+  const int64_t bsz = c.size(0);
+  const int64_t m = c.size(1);
+  const int64_t n = f.size(1);
+  Tensor mask = Tensor::Zeros({bsz, m, n});
+  for (int64_t b = 0; b < bsz; ++b) {
+    for (int64_t r = 0; r < m; ++r) {
+      for (int64_t j = 0; j < n; ++j) {
+        if (!TaadVisible(j, n - 1, first_real[size_t(b)])) {
+          mask.data()[(b * m + r) * n + j] = -1e9f;
+        }
+      }
+    }
+  }
+  Rng unused(0);
+  return ComposedAttention(c, f, f, mask, /*causal=*/false,
+                           1.0f / std::sqrt(float(c.size(2))),
+                           /*dropout_p=*/0.0f, /*training=*/false, unused);
+}
+
+// Forward values and input grads of one lowering, built on freshly
+// initialised identical inputs.
 struct LoweringResult {
   std::vector<float> forward;
   std::vector<float> grads;
@@ -138,12 +230,12 @@ struct LoweringResult {
 TEST(FusedComposedEquivalence, SingleHeadSelfAttentionBitExact) {
   ScopedScalarSimd scalar;
   auto run = [](bool fused) {
-    ScopedFused guard(fused);
     Rng init(21);
     nn::CausalSelfAttention attn(8, /*dropout=*/0.0f, init);
     Tensor x = RandomInput({6, 8}, 22);
     Rng fwd(23);
-    Tensor y = attn.Forward(x, Tensor(), fwd);
+    Tensor y = fused ? attn.Forward(x, Tensor(), fwd)
+                     : ComposedSelfAttention(attn, x, Tensor(), 0.0f, fwd);
     LoweringResult r;
     r.forward = y.ToVector();
     ops::Sum(ops::Square(y)).Backward();
@@ -152,8 +244,8 @@ TEST(FusedComposedEquivalence, SingleHeadSelfAttentionBitExact) {
   };
   const LoweringResult composed = run(false);
   const LoweringResult fused = run(true);
-  // EXPECT_EQ on floats: the golden-metrics suite runs the fused lowering by
-  // default, so anything short of bit-identity is a correctness bug.
+  // EXPECT_EQ on floats: the golden-metrics suite pins the fused lowering,
+  // so anything short of bit-identity with the oracle is a correctness bug.
   EXPECT_EQ(composed.forward, fused.forward);
   EXPECT_EQ(composed.grads, fused.grads);
 }
@@ -163,13 +255,13 @@ TEST(FusedComposedEquivalence, LearnedBiasGradBitExact) {
   // TiSASRec feeds a learned bucket bias through the attention: the bias
   // gradient must survive the fused lowering bit-for-bit.
   auto run = [](bool fused) {
-    ScopedFused guard(fused);
     Rng init(31);
     nn::CausalSelfAttention attn(8, /*dropout=*/0.0f, init);
     Tensor x = RandomInput({5, 8}, 32);
     Tensor bias = RandomInput({5, 5}, 33, 0.1f);
     Rng fwd(34);
-    Tensor y = attn.Forward(x, bias, fwd);
+    Tensor y = fused ? attn.Forward(x, bias, fwd)
+                     : ComposedSelfAttention(attn, x, bias, 0.0f, fwd);
     LoweringResult r;
     r.forward = y.ToVector();
     ops::Sum(ops::Square(y)).Backward();
@@ -186,14 +278,14 @@ TEST(FusedComposedEquivalence, MultiHeadClose) {
   // Multi-head slices take the non-view GEMM path whose accumulation order
   // differs in sign-of-zero corner cases only; assert the issue tolerances.
   auto run = [](bool fused) {
-    ScopedFused guard(fused);
     Rng init(41);
     nn::CausalSelfAttention attn(8, /*dropout=*/0.0f, init, /*causal=*/true,
                                  /*identity_init_values=*/false,
                                  /*num_heads=*/2);
     Tensor x = RandomInput({6, 8}, 42);
     Rng fwd(43);
-    Tensor y = attn.Forward(x, Tensor(), fwd);
+    Tensor y = fused ? attn.Forward(x, Tensor(), fwd)
+                     : ComposedSelfAttention(attn, x, Tensor(), 0.0f, fwd);
     LoweringResult r;
     r.forward = y.ToVector();
     ops::Sum(ops::Square(y)).Backward();
@@ -218,12 +310,12 @@ TEST(FusedComposedEquivalence, DropoutRngStreamAligned) {
   // exactly the composed order (row-major Bernoulli over the full prob
   // matrix), so same-seeded runs are bit-identical.
   auto run = [](bool fused) {
-    ScopedFused guard(fused);
     Rng init(51);
     nn::CausalSelfAttention attn(8, /*dropout=*/0.3f, init);
     Tensor x = RandomInput({6, 8}, 52);
     Rng fwd(53);
-    Tensor y = attn.Forward(x, Tensor(), fwd);
+    Tensor y = fused ? attn.Forward(x, Tensor(), fwd)
+                     : ComposedSelfAttention(attn, x, Tensor(), 0.3f, fwd);
     LoweringResult r;
     r.forward = y.ToVector();
     ops::Sum(ops::Square(y)).Backward();
@@ -241,7 +333,6 @@ TEST(FusedComposedEquivalence, PaddedBatchBitExact) {
   // Batched attention over sequences with padding prefixes, as EncodeBatch
   // produces: [b, n, d] input + per-sequence [b, n, n] masks in the bias.
   auto run = [](bool fused) {
-    ScopedFused guard(fused);
     Rng init(61);
     nn::CausalSelfAttention attn(8, /*dropout=*/0.0f, init, /*causal=*/false);
     Tensor x = RandomInput({2, 4, 8}, 62);
@@ -251,7 +342,8 @@ TEST(FusedComposedEquivalence, PaddedBatchBitExact) {
     std::copy(m0.data(), m0.data() + 16, mask.data());
     std::copy(m1.data(), m1.data() + 16, mask.data() + 16);
     Rng fwd(63);
-    Tensor y = attn.Forward(x, mask, fwd);
+    Tensor y = fused ? attn.Forward(x, mask, fwd)
+                     : ComposedSelfAttention(attn, x, mask, 0.0f, fwd);
     LoweringResult r;
     r.forward = y.ToVector();
     ops::Sum(ops::Square(y)).Backward();
@@ -269,10 +361,10 @@ TEST(FusedComposedEquivalence, TaadDecodeBitExact) {
   // TAAD aliases keys and values (Attn(C, F, F)); both lowerings must agree
   // on forward and on the summed k==v gradient.
   auto run = [](bool fused) {
-    ScopedFused guard(fused);
     Tensor f = RandomInput({4, 8}, 71);
     Tensor c = RandomInput({3, 8}, 72);
-    Tensor s = core::TaadDecode(c, f, {1, 2, 3}, /*first_real=*/1);
+    Tensor s = fused ? core::TaadDecode(c, f, {1, 2, 3}, /*first_real=*/1)
+                     : ComposedTaadDecode(c, f, {1, 2, 3}, /*first_real=*/1);
     LoweringResult r;
     r.forward = s.ToVector();
     ops::Sum(ops::Square(s)).Backward();
@@ -290,10 +382,10 @@ TEST(FusedComposedEquivalence, TaadDecodeBitExact) {
 TEST(FusedComposedEquivalence, TaadDecodeBatchBitExact) {
   ScopedScalarSimd scalar;
   auto run = [](bool fused) {
-    ScopedFused guard(fused);
     Tensor f = RandomInput({2, 4, 8}, 81);
     Tensor c = RandomInput({2, 3, 8}, 82);
-    Tensor s = core::TaadDecodeBatch(c, f, {0, 2});
+    Tensor s = fused ? core::TaadDecodeBatch(c, f, {0, 2})
+                     : ComposedTaadDecodeBatch(c, f, {0, 2});
     LoweringResult r;
     r.forward = s.ToVector();
     ops::Sum(ops::Square(s)).Backward();

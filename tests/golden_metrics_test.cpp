@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string>
 
-#include "tensor/ops.h"
 #include "tools/golden_pipeline.h"
 
 namespace stisan::golden {
@@ -58,19 +57,8 @@ TEST(GoldenJsonTest, RoundTripsExactly) {
 
 TEST(GoldenMetricsTest, PipelineMatchesCheckedInGolden) {
   // Exact keys, exact values: the whole chain (synthetic data, training,
-  // candidate sampling, batched evaluation) is pinned-deterministic. Runs
-  // under the default lowering (fused attention on).
+  // candidate sampling, batched evaluation) is pinned-deterministic.
   ExpectMatchesGolden(ComputeGoldenMetrics());
-}
-
-TEST(GoldenMetricsTest, ComposedLoweringMatchesSameGolden) {
-  // STISAN_FUSED_ATTENTION=0 swaps every attention layer to the composed
-  // per-op reference path; the two lowerings are bit-identical, so both must
-  // reproduce the one checked-in golden file exactly.
-  ops::SetFusedAttentionEnabled(0);
-  const auto computed = ComputeGoldenMetrics();
-  ops::SetFusedAttentionEnabled(-1);
-  ExpectMatchesGolden(computed);
 }
 
 }  // namespace

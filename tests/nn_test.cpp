@@ -211,22 +211,6 @@ TEST(AttentionTest, SingleHeadMatchesUnfactoredPath) {
   }
 }
 
-TEST(CrossAttentionTest, ShapeAndMask) {
-  Rng rng(12);
-  CrossAttention att(8);
-  Tensor q = Tensor::Randn({3, 8}, rng);
-  Tensor kv = Tensor::Randn({5, 8}, rng);
-  Tensor out = att.Forward(q, kv, Tensor());
-  EXPECT_EQ(out.shape(), (Shape{3, 8}));
-  // Mask away all but key 2: output rows must equal kv row 2.
-  Tensor mask = Tensor::Full({3, 5}, -1e9f);
-  for (int i = 0; i < 3; ++i) mask.set({i, 2}, 0.0f);
-  Tensor masked = att.Forward(q, kv, mask);
-  for (int i = 0; i < 3; ++i)
-    for (int c = 0; c < 8; ++c)
-      EXPECT_NEAR(masked.at({i, c}), kv.at({2, c}), 1e-5f);
-}
-
 // ---- Recurrent -----------------------------------------------------------------
 
 TEST(GruCellTest, ShapesAndStateChange) {

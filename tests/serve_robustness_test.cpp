@@ -60,7 +60,7 @@ core::StisanOptions TinyStisanOptions() {
   opts.geo.fourier_dim = 4;
   opts.num_blocks = 2;
   opts.train.seed = 7;
-  opts.use_tape = false;  // K/V-cache tier: cheap incremental appends
+  opts.use_tape = false;  // no-TAPE ablation; the rungs are model-agnostic
   opts.knn_negatives = false;
   return opts;
 }
@@ -549,7 +549,7 @@ TEST_F(ServeRobustnessTest, DefaultDeadlineAppliesToEveryRequest) {
   EXPECT_EQ(fut.get().status.code(), StatusCode::kDeadlineExceeded);
 }
 
-// The stale tier: an expired request degrades to the resident cached
+// The stale rung: an expired request degrades to the resident cached
 // prefix — bit-identical to a cold score over that prefix — instead of
 // failing; without a resident state it still expires.
 TEST_F(ServeRobustnessTest, StaleServeFromResidentPrefix) {

@@ -3,9 +3,9 @@
 // 1. Incremental-vs-full bit-identity: appending check-ins one at a time
 //    through the service (or the engine directly) produces scores
 //    bit-identical to a cold full forward at EVERY prefix length — across
-//    model configs (K/V-cache tier, preprocess/TAPE tier, every attention
-//    mode), thread counts {1, 4}, forced mid-sequence evictions, and
-//    relation-ceiling rebuilds.
+//    model configs (TAPE and vanilla PE, every attention mode), thread
+//    counts {1, 4}, forced mid-sequence evictions, and a relation ceiling
+//    that moves on almost every append.
 // 2. Micro-batching determinism: per-user scores and the serve obs
 //    counter totals are independent of arrival interleaving and batch
 //    caps; metric accumulation reuses the MetricAccumulator::Merge
@@ -64,29 +64,29 @@ struct StisanConfig {
   core::StisanOptions opts;
 };
 
-// Every incremental tier x attention mode combination.
+// Positional encoding x attention mode combinations.
 std::vector<StisanConfig> ServingConfigs() {
   std::vector<StisanConfig> configs;
   {
     auto o = TinyStisanOptions();
-    o.use_tape = false;  // K/V-cache tier, interval-aware attention
-    configs.push_back({"kv_interval", o});
+    o.use_tape = false;  // vanilla PE, interval-aware attention
+    configs.push_back({"pe_interval", o});
   }
   {
     auto o = TinyStisanOptions();
     o.use_tape = false;
     o.attention_mode = core::AttentionMode::kVanilla;
-    configs.push_back({"kv_vanilla", o});
+    configs.push_back({"pe_vanilla", o});
   }
   {
     auto o = TinyStisanOptions();
     o.use_tape = false;
     o.attention_mode = core::AttentionMode::kRelationOnly;
     o.use_taad = false;  // also covers the non-TAAD decode
-    configs.push_back({"kv_relation_only", o});
+    configs.push_back({"pe_relation_only", o});
   }
   {
-    auto o = TinyStisanOptions();  // full STiSAN: TAPE -> preprocess tier
+    auto o = TinyStisanOptions();  // full STiSAN
     configs.push_back({"tape_interval", o});
   }
   {
@@ -197,22 +197,13 @@ TEST_F(ServeTest, IncrementalBitIdenticalAtEveryPrefix) {
   EXPECT_EQ(obs::GetCounter("serve/fallback_scored").Get(), 0u);
 }
 
-// Direct engine coverage: tier selection, and bit-identity across
-// relation-ceiling rebuilds (same POI repeated with growing gaps moves
-// r_hat_max on almost every append until the kt clip).
-TEST_F(ServeTest, EngineTierSelectionAndCeilingRebuilds) {
-  auto kv = TinyStisanOptions();
-  kv.use_tape = false;
-  core::StisanModel kv_model(ds_, kv);
-  core::IncrementalScorer kv_engine(&kv_model, 32);
-  EXPECT_EQ(kv_engine.tier(), core::IncrementalTier::kKvCache);
-
-  core::StisanModel tape_model(ds_, TinyStisanOptions());
-  core::IncrementalScorer tape_engine(&tape_model, 32);
-  EXPECT_EQ(tape_engine.tier(), core::IncrementalTier::kPreprocess);
-
+// Direct engine coverage across relation-ceiling moves: the same POI
+// repeated with growing gaps raises r_hat_max on almost every append until
+// the kt clip, so every score's scaled relation differs from the previous
+// one's in every row. Run through the full model and the no-TAPE ablation.
+TEST_F(ServeTest, EngineBitIdenticalAsRelationCeilingMoves) {
   // Growing gaps: 0s, 1h, 6h, 1d, 3d, ... each new max pair raises the
-  // ceiling, invalidating every cached scaled row + encoder row.
+  // ceiling.
   std::vector<data::Visit> seq;
   double t = 1000.0;
   const double gaps[] = {0,      3600,    21600,   86400,  259200,
@@ -222,18 +213,24 @@ TEST_F(ServeTest, EngineTierSelectionAndCeilingRebuilds) {
     t += gap;
     seq.push_back({poi, t});
   }
-  auto state = kv_engine.NewState();
-  std::vector<int64_t> pois;
-  std::vector<double> times;
   const auto cands = Candidates(poi, 15, 4242);
-  for (size_t k = 0; k < seq.size(); ++k) {
-    pois.push_back(seq[k].poi);
-    times.push_back(seq[k].timestamp);
-    const auto got = kv_engine.Score(*state, pois, times, cands);
-    const auto want = ColdScore(kv_model, seq, k + 1, cands);
-    ASSERT_EQ(got, want) << "prefix=" << k + 1;
+  auto no_tape = TinyStisanOptions();
+  no_tape.use_tape = false;
+  for (const auto& opts : {TinyStisanOptions(), no_tape}) {
+    core::StisanModel model(ds_, opts);
+    core::IncrementalScorer engine(&model, 32);
+    auto state = engine.NewState();
+    std::vector<int64_t> pois;
+    std::vector<double> times;
+    for (size_t k = 0; k < seq.size(); ++k) {
+      pois.push_back(seq[k].poi);
+      times.push_back(seq[k].timestamp);
+      const auto got = engine.Score(*state, pois, times, cands);
+      const auto want = ColdScore(model, seq, k + 1, cands);
+      ASSERT_EQ(got, want) << "use_tape=" << opts.use_tape
+                           << " prefix=" << k + 1;
+    }
   }
-  EXPECT_GT(state->rebuilds, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 // are checked into tests/golden/golden_metrics.json and compared EXACTLY in
 // CI. Every quantity in the chain is deterministic: data generation, training
 // and candidate sampling are seeded, the kernel backend is pinned to one
-// thread AND to the scalar fp32 reference path (the AVX2/NEON kernels round
+// thread AND to the scalar fp32 reference path (the AVX2 kernels round
 // differently, so kernel selection drift must not perturb this harness —
 // SIMD scoring is validated by tolerance in tests/simd_kernels_test
 // instead), and the batched evaluator is bit-identical to sequential

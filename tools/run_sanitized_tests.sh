@@ -8,9 +8,10 @@
 # build-asan/, build-ubsan/ and build-tsan/); the asan/ubsan test presets
 # run the "unit", "robustness", "fused", "obs", "serve", "simd" and
 # "ranking" labels, skipping the end-to-end CLI/tool smoke tests whose
-# sanitized runtimes are excessive. The tsan preset runs only the
-# concurrency-heavy "serve" and "obs" labels — the memory-safety gates
-# add nothing under TSan and its runtime overhead is the largest.
+# sanitized runtimes are excessive and the "bench" checks of the benchmark
+# harness, which builds its own unsanitized worker. The tsan preset runs
+# only the concurrency-heavy "serve" and "obs" labels — the memory-safety
+# gates add nothing under TSan and its runtime overhead is the largest.
 #
 # After the unit pass, the "robustness" suite (fault-injection sweeps,
 # checkpoint fuzzing, kill/resume determinism) and the "fused" suite
@@ -55,11 +56,12 @@ for preset in "${presets[@]}"; do
    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
    ctest -L obs --output-on-failure)
   echo "==== ${preset}: ctest (serving gate) ===="
-  # The serving runtime rewrites attention rows into long-lived per-user
-  # K/V buffers and batches concurrent requests through a worker thread —
-  # exactly the kind of buffer-reuse and cross-thread handoff the
-  # sanitizers exist for; the fuzzed session-store interleavings run here
-  # with halt_on_error so any stale-row read fails loudly.
+  # The serving runtime writes embedding rows into long-lived per-user
+  # cache buffers, drops and rebuilds them on eviction, and batches
+  # concurrent requests through a worker thread — exactly the kind of
+  # buffer-reuse and cross-thread handoff the sanitizers exist for; the
+  # fuzzed session-store interleavings run here with halt_on_error so any
+  # stale-row read fails loudly.
   (cd "build-${preset}" && \
    ASAN_OPTIONS="halt_on_error=1" \
    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \

@@ -12,7 +12,7 @@
 //   serve_replay --preset gowalla --scale 0.08 --users 64
 //                --warmup 3 --candidates 100
 //                --max-sessions 32 --batch-window 200 --max-batch 32
-//                --max-seq-len 100 [--tape] [--metrics-json FILE]
+//                --max-seq-len 100 [--metrics-json FILE]
 //
 //   --users N         cap on replayed users (default 64)
 //   --warmup K        per-user prefix appended before the timed phase
@@ -22,8 +22,6 @@
 //   --max-batch N     cut the window short once N requests queue
 //   --max-seq-len N   serving window; longer histories fall back to the
 //                     batched trailing-window path
-//   --tape            use the full TAPE model (preprocess tier) instead
-//                     of the K/V-cache tier
 //   --metrics-json F  write the obs-registry snapshot (same flag as the
 //                     trainer CLI) with the serve/* counters and the
 //                     time/serve/request histogram
@@ -50,9 +48,10 @@
 //   --overload-json F write the sweep (goodput, shed rate, latency
 //                     percentiles per offered rate) as JSON
 //
-// The incremental engine covers STiSAN configurations; the same driver
-// exercises the pure fallback path when --max-seq-len is set below the
-// replayed history lengths.
+// The served model is the full STiSAN at the repo defaults (geo encoder,
+// TAPE, IAAB, TAAD), untrained. The same tool exercises the pure
+// fallback path when --max-seq-len is set below the replayed history
+// lengths. An unknown flag or preset exits with status 2.
 
 #include <algorithm>
 #include <chrono>
@@ -205,7 +204,6 @@ int main(int argc, char** argv) {
   int64_t users = 64;
   int64_t warmup = 3;
   int64_t candidates = 100;
-  bool use_tape = false;
   serve::ServeOptions so;
   so.max_sessions = 32;
   so.batch_window_us = 200;
@@ -225,7 +223,6 @@ int main(int argc, char** argv) {
       so.max_batch = std::atoll(next());
     else if (std::strcmp(argv[i], "--max-seq-len") == 0)
       so.max_seq_len = std::atoll(next());
-    else if (std::strcmp(argv[i], "--tape") == 0) use_tape = true;
     else if (std::strcmp(argv[i], "--metrics-json") == 0)
       metrics_json = next();
     else if (std::strcmp(argv[i], "--offered-rates") == 0) {
@@ -254,17 +251,24 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--stale") == 0) so.allow_stale = true;
     else if (std::strcmp(argv[i], "--overload-json") == 0)
       overload_json = next();
+    else {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return 2;
+    }
   }
 
   data::SyntheticConfig cfg;
-  if (preset == "brightkite") cfg = data::BrightkiteLikeConfig(scale);
+  if (preset == "gowalla") cfg = data::GowallaLikeConfig(scale);
+  else if (preset == "brightkite") cfg = data::BrightkiteLikeConfig(scale);
   else if (preset == "weeplaces") cfg = data::WeeplacesLikeConfig(scale);
   else if (preset == "changchun") cfg = data::ChangchunLikeConfig(scale);
-  else cfg = data::GowallaLikeConfig(scale);
+  else {
+    std::fprintf(stderr, "unknown preset %s\n", preset.c_str());
+    return 2;
+  }
   const data::Dataset dataset = data::GenerateSynthetic(cfg);
 
   core::StisanOptions opts;
-  opts.use_tape = use_tape;
   opts.knn_negatives = false;  // frozen model, no training
   core::StisanModel model(dataset, opts);
 
@@ -369,11 +373,9 @@ int main(int argc, char** argv) {
 
   serve::RecommendService service(&model, so);
   std::printf("serve_replay: %lld users, %zu warmup + %zu timed events, "
-              "%lld candidates, tier=%s\n",
+              "%lld candidates\n",
               static_cast<long long>(replayed_users), warm.size(),
-              timed.size(), static_cast<long long>(candidates),
-              service.incremental() ? (use_tape ? "preprocess" : "kv-cache")
-                                    : "fallback");
+              timed.size(), static_cast<long long>(candidates));
 
   for (const auto& ev : warm) service.Append(ev.user, ev.poi, ev.timestamp);
 
@@ -413,7 +415,7 @@ int main(int argc, char** argv) {
               latencies.empty() ? 0.0 : latencies.back() * 1e3);
   std::printf(
       "serve counters: appends=%llu requests=%llu incremental=%llu "
-      "fallback=%llu evictions=%llu rebuilds=%llu overflows=%llu\n",
+      "fallback=%llu evictions=%llu overflows=%llu\n",
       static_cast<unsigned long long>(obs::GetCounter("serve/appends").Get()),
       static_cast<unsigned long long>(obs::GetCounter("serve/requests").Get()),
       static_cast<unsigned long long>(
@@ -422,8 +424,6 @@ int main(int argc, char** argv) {
           obs::GetCounter("serve/fallback_scored").Get()),
       static_cast<unsigned long long>(
           obs::GetCounter("serve/evictions").Get()),
-      static_cast<unsigned long long>(
-          obs::GetCounter("serve/cache_rebuilds").Get()),
       static_cast<unsigned long long>(
           obs::GetCounter("serve/overflows").Get()));
 
