@@ -128,12 +128,11 @@ void BM_IncrementalAppendScore(benchmark::State& state) {
   const int64_t n = state.range(0);
   ServingFixture& fx = Fixture();
   core::IncrementalScorer engine(&fx.model, n + kReps);
-  auto session = engine.NewState();
   std::vector<double> lat_us;
   for (auto _ : state) {
     state.PauseTiming();
     const History h = fx.NextHistory(n + kReps);
-    session->Reset();
+    auto session = engine.NewState();
     std::vector<int64_t> pois(h.pois.begin(), h.pois.begin() + n);
     std::vector<double> ts(h.timestamps.begin(), h.timestamps.begin() + n);
     engine.Sync(*session, pois, ts);  // warm cache to length n
@@ -227,9 +226,8 @@ BENCHMARK(BM_ServicePumpAppendScore)->Arg(100);
 
 // The same service path with the full overload-safety machinery armed —
 // request validation (num_pois bound), bounded-queue admission
-// accounting, per-request deadline bookkeeping and the stale-serve rung
-// enabled (but never triggered: deadlines are comfortable and the queue
-// never fills). Compared against BM_ServicePumpAppendScore this isolates
+// accounting and per-request deadline bookkeeping (never triggered:
+// deadlines are comfortable and the queue never fills). Compared against BM_ServicePumpAppendScore this isolates
 // what DESIGN.md §15 costs on the happy path.
 void BM_ServicePumpOverloadGuards(benchmark::State& state) {
   serve::ServeOptions so;
@@ -238,7 +236,6 @@ void BM_ServicePumpOverloadGuards(benchmark::State& state) {
   so.max_queue = 1024;  // bounded but never full in pump mode
   so.queue_policy = serve::QueuePolicy::kShedOldest;
   so.default_deadline_us = 60'000'000;  // comfortable: never expires
-  so.allow_stale = true;
   so.num_pois = Fixture().dataset.num_pois();
   RunServicePump(state, so);
 }

@@ -5,14 +5,14 @@
 // mean time gap of the *whole* sequence (paper eq. 2-3), so an append
 // changes every position and every encoder row. The engine therefore
 // caches only what an append leaves intact — the scaled embedding rows and
-// the raw clipped-interval relation rows (the Haversine work) — and reruns
-// the tensor-level encoder over the cached inputs at Score time.
+// eq. 4's raw interval rows (the Haversine work) — and runs the model's
+// own encoder and decode stages over the cached inputs at Score time.
 //
 // Relation-matrix coupling: the paper's R is r_hat_max - r_hat with a
 // *global* ceiling r_hat_max = max over all causal pairs. The raw r_hat
-// rows extend monotonically and never invalidate; the softmax-scaled
-// matrix is assembled from them against the current ceiling at every
-// Score, so nothing cached ever needs rebuilding.
+// rows (core::RelationRows) extend monotonically and never invalidate;
+// the softmax-scaled matrix is assembled from them against the current
+// ceiling at every Score, so nothing cached ever needs rebuilding.
 //
 // Bit-identity contract: Score() returns exactly the floats of
 // model->Score({poi = history, t = timestamps, first_real = 0}, cands) —
@@ -25,29 +25,25 @@
 #include <memory>
 #include <vector>
 
+#include "core/relation.h"
 #include "core/stisan.h"
 
 namespace stisan::core {
 
 /// Per-user cached state. Histories live with the caller (the session
 /// store); this struct only holds derived caches over the prefix
-/// [0, cached_len). Reset() drops everything — eviction keeps the history
-/// and pays one cold rebuild on return.
+/// [0, cached_len). Eviction drops the whole state and keeps the history,
+/// so a returning user pays one cold build.
 struct IncrementalState {
   // Number of history visits the caches cover.
   int64_t cached_len = 0;
 
-  // Raw clipped-interval rows: row i holds float(r_hat_i0..r_hat_ii),
-  // exactly the first-pass values of BuildRelationMatrix. Never
-  // invalidated (appends only add rows).
-  std::vector<std::vector<float>> rhat_rows;
-  // Running ceiling in double, matching BuildRelationMatrix's accumulator.
-  double rhat_max = 0.0;
+  // Eq. 4's raw interval rows over the cached prefix (relation modes
+  // only). Never invalidated: appends only add rows.
+  RelationRows relation;
 
   // Scaled embedding rows (post sqrt(d), pre-PE), [max_len, d].
   Tensor embed_cache;
-
-  void Reset();
 };
 
 /// Scorer over a frozen model. The model must outlive the engine and stay
@@ -75,16 +71,8 @@ class IncrementalScorer {
                            const std::vector<int64_t>& candidates) const;
 
  private:
-  bool NeedsRelation() const;
-  void AppendRhatRow(IncrementalState& state,
-                     const std::vector<int64_t>& pois,
-                     const std::vector<double>& timestamps, int64_t i) const;
-  Tensor AssembleScaledRelation(const IncrementalState& state,
-                                int64_t n) const;
-
   StisanModel* model_;
   int64_t max_seq_len_;
-  int64_t dim_;
   // Dropout layers take an Rng by reference; in eval mode they are
   // identity and never draw, so this stream stays untouched.
   mutable Rng rng_;

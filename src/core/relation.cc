@@ -14,6 +14,38 @@ namespace {
 constexpr double kSecondsPerDay = 86400.0;
 }  // namespace
 
+void RelationRows::Append(double timestamp, const geo::GeoPoint& coord,
+                          const RelationOptions& options) {
+  timestamps_.push_back(timestamp);
+  coords_.push_back(coord);
+  for (size_t j = 0; j < timestamps_.size(); ++j) {
+    const double dt = std::min(
+        options.kt_days,
+        std::fabs(timestamp - timestamps_[j]) / kSecondsPerDay);
+    const double dd =
+        std::min(options.kd_km, geo::HaversineKm(coord, coords_[j]));
+    const double r_hat = dt + dd;
+    rhat_.push_back(static_cast<float>(r_hat));
+    rhat_max_ = std::max(rhat_max_, r_hat);
+  }
+}
+
+Tensor RelationRows::Matrix(int64_t n) const {
+  const int64_t rows = size();
+  STISAN_CHECK_LE(rows, n);
+  const int64_t first = n - rows;
+  Tensor r = Tensor::Zeros({n, n});
+  // Relations are inverse to intervals: r = r_hat_max - r_hat.
+  const float cap = static_cast<float>(rhat_max_);
+  const float* rhat = rhat_.data();
+  float* rd = r.data();
+  for (int64_t i = 0; i < rows; ++i) {
+    float* row = rd + (first + i) * n + first;
+    for (int64_t j = 0; j <= i; ++j) row[j] = cap - *rhat++;
+  }
+  return r;
+}
+
 Tensor BuildRelationMatrix(const std::vector<int64_t>& pois,
                            const std::vector<double>& timestamps,
                            const std::vector<geo::GeoPoint>& coords,
@@ -24,33 +56,11 @@ Tensor BuildRelationMatrix(const std::vector<int64_t>& pois,
   STISAN_CHECK_EQ(n, static_cast<int64_t>(coords.size()));
   STISAN_CHECK_GE(options.kt_days, 0.0);
   STISAN_CHECK_GE(options.kd_km, 0.0);
-
-  Tensor r = Tensor::Zeros({n, n});
-  float* rd = r.data();
-
-  // First pass: clipped interval sums r_hat for causal, non-padding pairs.
-  double r_hat_max = 0.0;
+  RelationRows rows;
   for (int64_t i = first_real; i < n; ++i) {
-    for (int64_t j = first_real; j <= i; ++j) {
-      const double dt = std::min(
-          options.kt_days,
-          std::fabs(timestamps[size_t(i)] - timestamps[size_t(j)]) /
-              kSecondsPerDay);
-      const double dd = std::min(
-          options.kd_km,
-          geo::HaversineKm(coords[size_t(i)], coords[size_t(j)]));
-      const double r_hat = dt + dd;
-      rd[i * n + j] = static_cast<float>(r_hat);
-      r_hat_max = std::max(r_hat_max, r_hat);
-    }
+    rows.Append(timestamps[size_t(i)], coords[size_t(i)], options);
   }
-  // Second pass: invert, r = r_hat_max - r_hat.
-  for (int64_t i = first_real; i < n; ++i) {
-    for (int64_t j = first_real; j <= i; ++j) {
-      rd[i * n + j] = static_cast<float>(r_hat_max) - rd[i * n + j];
-    }
-  }
-  return r;
+  return rows.Matrix(n);
 }
 
 Tensor SoftmaxScaleRelation(const Tensor& relation, int64_t first_real) {

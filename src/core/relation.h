@@ -27,6 +27,35 @@ struct RelationOptions {
   double kd_km = 15.0;
 };
 
+/// Eq. 4 over a sequence that grows one visit at a time: the clipped
+/// interval sums r_hat of every causal pair (kept as float) and their
+/// running ceiling r_hat_max (kept in double). Appending a visit adds one
+/// row and leaves earlier rows intact, so the serving engine keeps one per
+/// user; BuildRelationMatrix builds one over a window's real suffix.
+class RelationRows {
+ public:
+  /// Adds the next visit's row: r_hat against every visit so far,
+  /// itself included.
+  void Append(double timestamp, const geo::GeoPoint& coord,
+              const RelationOptions& options);
+
+  /// Number of visits (rows) appended.
+  int64_t size() const { return static_cast<int64_t>(timestamps_.size()); }
+
+  /// The relation matrix [n, n], n >= size(): r = r_hat_max - r_hat on the
+  /// lower triangle of the last size() rows and columns; the leading
+  /// n - size() (padding) rows and columns, and everything above the
+  /// diagonal, stay 0.
+  Tensor Matrix(int64_t n) const;
+
+ private:
+  std::vector<double> timestamps_;
+  std::vector<geo::GeoPoint> coords_;
+  // Packed lower triangle: row i holds r_hat_i0..r_hat_ii from i(i+1)/2.
+  std::vector<float> rhat_;
+  double rhat_max_ = 0.0;
+};
+
 /// Builds the raw lower-triangular relation matrix [n, n].
 ///
 /// Pairs involving a padding position (index < first_real) get relation 0

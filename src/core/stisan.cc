@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "core/taad.h"
 #include "train/loss.h"
@@ -105,23 +104,50 @@ Tensor StisanModel::Embed(const std::vector<int64_t>& pois) const {
 Tensor StisanModel::RelationBias(const std::vector<int64_t>& pois,
                                  const std::vector<double>& timestamps,
                                  int64_t first_real) const {
-  if (options_.attention_mode == AttentionMode::kVanilla) return Tensor();
+  if (!UsesRelation()) return Tensor();
   // LRU-cached: training revisits the same windows every epoch.
   return CachedScaledRelation(pois, timestamps, WindowCoords(*dataset_, pois),
                               first_real, options_.relation);
 }
 
+Tensor StisanModel::EncodeStage(const Tensor& rows,
+                                const std::vector<SequenceTimes>& seqs,
+                                const Tensor& bias, Rng& rng,
+                                std::vector<Tensor>* attention_maps) const {
+  const int64_t n = rows.size(-2);
+  STISAN_CHECK_EQ(static_cast<int64_t>(seqs.size()),
+                  rows.dim() == 3 ? rows.size(0) : 1);
+  std::vector<Tensor> tables;
+  std::vector<Tensor> masks;
+  for (const SequenceTimes& seq : seqs) {
+    STISAN_CHECK_EQ(static_cast<int64_t>(seq.timestamps->size()), n);
+    // TAPE's time-stretched positions (eq. 2-3), or 1..n for the
+    // vanilla-PE ablation.
+    tables.push_back(
+        options_.use_tape
+            ? CachedSinusoidalEncoding(
+                  TimeAwarePositions(*seq.timestamps, seq.first_real), dim_)
+            : nn::VanillaPositionalEncoding(n, dim_));
+    masks.push_back(BuildPaddedCausalMask(n, seq.first_real));
+  }
+  // Per-sequence inputs stack along the batch dim of a [B, n, d] input.
+  auto join = [&rows](const std::vector<Tensor>& per_seq) {
+    return rows.dim() == 3 ? ops::Stack0(per_seq) : per_seq[0];
+  };
+  Tensor e = embed_dropout_.Forward(rows + join(tables), rng);
+  Tensor mask = join(masks);
+  if (attention_maps != nullptr) {
+    *attention_maps = encoder_->AttentionMaps(e, bias, mask, rng);
+    return Tensor();
+  }
+  return encoder_->Forward(e, bias, mask, rng);
+}
+
 Tensor StisanModel::Encode(const std::vector<int64_t>& pois,
                            const std::vector<double>& timestamps,
                            int64_t first_real, Rng& rng) const {
-  const int64_t n = static_cast<int64_t>(pois.size());
-  Tensor e = Embed(pois);
-  e = options_.use_tape ? ApplyTape(e, timestamps, first_real)
-                        : ApplyVanillaPe(e);
-  e = embed_dropout_.Forward(e, rng);
-  Tensor bias = RelationBias(pois, timestamps, first_real);
-  Tensor mask = BuildPaddedCausalMask(n, first_real);
-  return encoder_->Forward(e, bias, mask, rng);
+  return EncodeStage(Embed(pois), {{&timestamps, first_real}},
+                     RelationBias(pois, timestamps, first_real), rng);
 }
 
 Tensor StisanModel::EncodeBatch(
@@ -134,56 +160,37 @@ Tensor StisanModel::EncodeBatch(
   // overlapping histories (shared users, padding) embed once.
   std::vector<int64_t> flat;
   flat.reserve(static_cast<size_t>(bsz * n));
+  std::vector<SequenceTimes> seqs;
+  std::vector<Tensor> biases;
   for (const auto* inst : instances) {
     STISAN_CHECK_EQ(static_cast<int64_t>(inst->poi.size()), n);
     flat.insert(flat.end(), inst->poi.begin(), inst->poi.end());
+    seqs.push_back({&inst->t, inst->first_real});
+    if (UsesRelation()) {
+      biases.push_back(RelationBias(inst->poi, inst->t, inst->first_real));
+    }
   }
   const auto [unique, local] = models::DedupIds(flat);
   Tensor e = ops::Reshape(
       ops::EmbeddingLookup(Embed(unique), local, /*padding_idx=*/-1),
       {bsz, n, dim_});
-
-  // Positional encodings are per-instance (TAPE depends on timestamps).
-  std::vector<Tensor> pe(static_cast<size_t>(bsz));
-  for (int64_t b = 0; b < bsz; ++b) {
-    const auto* inst = instances[static_cast<size_t>(b)];
-    pe[static_cast<size_t>(b)] =
-        options_.use_tape
-            ? CachedSinusoidalEncoding(
-                  TimeAwarePositions(inst->t, inst->first_real), dim_)
-            : nn::VanillaPositionalEncoding(n, dim_);
-  }
-  e = e + ops::Stack0(pe);
-  e = embed_dropout_.Forward(e, rng);
-
-  Tensor bias;
-  if (options_.attention_mode != AttentionMode::kVanilla) {
-    std::vector<Tensor> biases(static_cast<size_t>(bsz));
-    for (int64_t b = 0; b < bsz; ++b) {
-      const auto* inst = instances[static_cast<size_t>(b)];
-      biases[static_cast<size_t>(b)] =
-          RelationBias(inst->poi, inst->t, inst->first_real);
-    }
-    bias = ops::Stack0(biases);
-  }
-  std::vector<Tensor> masks(static_cast<size_t>(bsz));
-  for (int64_t b = 0; b < bsz; ++b) {
-    masks[static_cast<size_t>(b)] =
-        BuildPaddedCausalMask(n, instances[static_cast<size_t>(b)]->first_real);
-  }
-  return encoder_->Forward(e, bias, ops::Stack0(masks), rng);
+  return EncodeStage(e, seqs, UsesRelation() ? ops::Stack0(biases) : Tensor(),
+                     rng);
 }
 
-Tensor StisanModel::Preferences(const Tensor& candidate_emb,
-                                const Tensor& encoder_out,
-                                const std::vector<int64_t>& step_of_row,
-                                int64_t first_real) const {
-  if (options_.use_taad) {
-    return TaadDecode(candidate_emb, encoder_out, step_of_row, first_real);
-  }
-  // Variant V: match encoder states with candidates directly (eq. 17).
-  return ops::MatMul(StepSelector(step_of_row, encoder_out.size(0)),
-                     encoder_out);
+Tensor StisanModel::Decode(const Tensor& f,
+                           const std::vector<int64_t>& candidates,
+                           const std::vector<int64_t>& step_of_row,
+                           int64_t first_real) const {
+  Tensor c = Embed(candidates);
+  // Preference vectors: TAAD, or (variant V) the encoder state of each
+  // row's step matched with the candidate directly (eq. 17).
+  Tensor s = options_.use_taad
+                 ? TaadDecode(c, f, step_of_row, first_real)
+                 : ops::MatMul(StepSelector(step_of_row, f.size(0)), f);
+  // 1/sqrt(d) keeps the logits in the sigmoid's sensitive range (the raw
+  // inner products scale with the embedding dimension).
+  return ops::MulScalar(MatchScores(s, c), score_scale_);
 }
 
 std::string StisanModel::ConfigFingerprint() const {
@@ -237,13 +244,8 @@ void StisanModel::Fit(const data::Dataset& dataset,
       }
     }
     const int64_t m = n - first_real;
-    Tensor c = Embed(cand_ids);
-    Tensor s = Preferences(c, f, step_of_row, first_real);
-    // 1/sqrt(d) keeps the logits in the sigmoid's sensitive range (the
-    // raw inner products scale with the embedding dimension).
-    Tensor scores = ops::Reshape(
-        ops::MulScalar(MatchScores(s, c), score_scale_),
-        {m, num_negatives + 1});
+    Tensor scores = ops::Reshape(Decode(f, cand_ids, step_of_row, first_real),
+                                 {m, num_negatives + 1});
     Tensor pos = ops::Reshape(ops::Slice(scores, 1, 0, 1), {m});
     Tensor neg = ops::Slice(scores, 1, 1, num_negatives + 1);
     return train::WeightedBceLoss(pos, neg, cfg.temperature);
@@ -262,10 +264,8 @@ std::vector<float> StisanModel::Score(const data::EvalInstance& instance,
   SetTraining(false);
   const int64_t n = static_cast<int64_t>(instance.poi.size());
   Tensor f = Encode(instance.poi, instance.t, instance.first_real, rng_);
-  Tensor c = Embed(candidates);
-  std::vector<int64_t> step_of_row(candidates.size(), n - 1);
-  Tensor s = Preferences(c, f, step_of_row, instance.first_real);
-  return ops::MulScalar(MatchScores(s, c), score_scale_).ToVector();
+  const std::vector<int64_t> last(candidates.size(), n - 1);
+  return Decode(f, candidates, last, instance.first_real).ToVector();
 }
 
 std::vector<std::vector<float>> StisanModel::ScoreBatch(
@@ -314,7 +314,7 @@ std::vector<std::vector<float>> StisanModel::ScoreBatch(
 
   // Preference vectors: TAAD over each instance's encoder states, or (when
   // TAAD is ablated) the final-step state broadcast across candidates —
-  // the batched equivalents of Preferences at step n-1.
+  // the batched equivalent of Decode at step n-1.
   Tensor s = options_.use_taad ? TaadDecodeBatch(c, f, first_real)
                                : ops::Slice(f, 1, n - 1, n);
   Tensor scores =
@@ -335,13 +335,9 @@ Tensor StisanModel::AverageAttentionMap(const std::vector<int64_t>& pois,
                                         int64_t first_real) {
   NoGradGuard no_grad;
   SetTraining(false);
-  const int64_t n = static_cast<int64_t>(pois.size());
-  Tensor e = Embed(pois);
-  e = options_.use_tape ? ApplyTape(e, timestamps, first_real)
-                        : ApplyVanillaPe(e);
-  Tensor bias = RelationBias(pois, timestamps, first_real);
-  Tensor mask = BuildPaddedCausalMask(n, first_real);
-  auto maps = encoder_->AttentionMaps(e, bias, mask, rng_);
+  std::vector<Tensor> maps;
+  EncodeStage(Embed(pois), {{&timestamps, first_real}},
+              RelationBias(pois, timestamps, first_real), rng_, &maps);
   STISAN_CHECK(!maps.empty());
   Tensor avg = maps[0];
   for (size_t i = 1; i < maps.size(); ++i) avg = avg + maps[i];

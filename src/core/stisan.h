@@ -102,14 +102,42 @@ class StisanModel : public models::SequentialRecommender, public nn::Module {
 
  private:
   // The incremental serving engine caches this model's embedding rows and
-  // relation rows per user and reruns the eval-mode encoder over them; it
-  // reuses the private Embed/Preferences stages and the frozen sub-modules
-  // directly so the two paths cannot drift apart (bit-identity is pinned
-  // by the serve test label).
+  // eq.-4 relation rows per user and runs them through the same encoder
+  // and decode stages as Score, so the two paths cannot drift apart
+  // (bit-identity is pinned by the serve test label).
   friend class IncrementalScorer;
+
+  // One sequence's timing inputs to the encoder stage.
+  struct SequenceTimes {
+    const std::vector<double>* timestamps;
+    int64_t first_real;
+  };
 
   /// Embeds a POI id sequence: POI embedding ⧺ geography encoding.
   Tensor Embed(const std::vector<int64_t>& pois) const;
+
+  /// Whether the attention consumes the relation matrix (not kVanilla).
+  bool UsesRelation() const {
+    return options_.attention_mode != AttentionMode::kVanilla;
+  }
+
+  /// Relation bias (softmax-scaled R, LRU-cached) or undefined in kVanilla
+  /// mode.
+  Tensor RelationBias(const std::vector<int64_t>& pois,
+                      const std::vector<double>& timestamps,
+                      int64_t first_real) const;
+
+  /// The encoder stage every forward shares. `rows` holds embedded rows
+  /// (from Embed), [n, d] for one sequence or [B, n, d] for a batch with
+  /// one SequenceTimes per instance. Adds each sequence's TAPE (or
+  /// vanilla) position table, applies embedding dropout, and runs the
+  /// IAAB stack under each sequence's padded causal mask with the given
+  /// relation bias. Returns the encoder output; with `attention_maps` set
+  /// it collects every block's attention map there instead and returns an
+  /// undefined tensor.
+  Tensor EncodeStage(const Tensor& rows, const std::vector<SequenceTimes>& seqs,
+                     const Tensor& bias, Rng& rng,
+                     std::vector<Tensor>* attention_maps = nullptr) const;
 
   /// Full encoder pass over a source sequence (no dropout when eval).
   Tensor Encode(const std::vector<int64_t>& pois,
@@ -121,15 +149,13 @@ class StisanModel : public models::SequentialRecommender, public nn::Module {
   Tensor EncodeBatch(const std::vector<const data::EvalInstance*>& instances,
                      Rng& rng) const;
 
-  /// Relation bias (softmax-scaled R) or undefined in kVanilla mode.
-  Tensor RelationBias(const std::vector<int64_t>& pois,
-                      const std::vector<double>& timestamps,
-                      int64_t first_real) const;
-
-  /// Preference vectors for candidate rows (TAAD or plain encoder states).
-  Tensor Preferences(const Tensor& candidate_emb, const Tensor& encoder_out,
-                     const std::vector<int64_t>& step_of_row,
-                     int64_t first_real) const;
+  /// The decode stage: scores [M] of `candidates` against an encoded
+  /// sequence f [n, d], row r decoded at step step_of_row[r] (TAAD over
+  /// keys first_real..step, or the plain encoder state when TAAD is
+  /// ablated), inner product scaled by 1/sqrt(d).
+  Tensor Decode(const Tensor& f, const std::vector<int64_t>& candidates,
+                const std::vector<int64_t>& step_of_row,
+                int64_t first_real) const;
 
   const data::Dataset* dataset_;
   StisanOptions options_;

@@ -6,10 +6,7 @@
 
 #include "core/relation.h"
 #include "core/tape.h"
-#include "tensor/optimizer.h"
 #include "train/loss.h"
-#include "train/lr_schedule.h"
-#include "util/logging.h"
 
 namespace stisan::models {
 namespace {
@@ -266,98 +263,54 @@ void Bert4RecModel::Fit(const data::Dataset& dataset,
   const auto& cfg = options_.train;
   const int64_t num_negatives = std::max<int64_t>(1, cfg.num_negatives);
 
-  Adam optimizer(Parameters(), {.lr = cfg.lr});
   SetTraining(true);
-  const int64_t windows_per_epoch =
-      cfg.max_train_windows > 0
-          ? std::min<int64_t>(cfg.max_train_windows,
-                              static_cast<int64_t>(train.size()))
-          : static_cast<int64_t>(train.size());
-  const int64_t total_steps = std::max<int64_t>(
-      1, cfg.epochs * windows_per_epoch /
-             std::max<int64_t>(1, cfg.batch_size));
-  train::CosineLr schedule(cfg.lr, total_steps, cfg.lr * 0.1f,
-                           std::min<int64_t>(total_steps / 20, 50));
-  int64_t opt_step = 0;
-  std::vector<size_t> order(train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // The cloze loss of one window; the shared train::Trainer owns the loop
+  // (shuffling, accumulation, LR schedule, guards, checkpointing).
+  auto loss_fn = [&](size_t idx) -> Tensor {
+    const data::TrainWindow& w = train[idx];
+    const int64_t n = static_cast<int64_t>(w.poi.size());
+    const int64_t first_real = std::min<int64_t>(w.first_real, n - 1);
 
-  for (int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    rng_.Shuffle(order);
-    double epoch_loss = 0.0;
-    int64_t seen = 0;
-    int64_t in_batch = 0;
-    optimizer.ZeroGrad();
-    for (size_t idx : order) {
-      if (cfg.max_train_windows > 0 && seen >= cfg.max_train_windows) break;
-      const data::TrainWindow& w = train[idx];
-      const int64_t n = static_cast<int64_t>(w.poi.size());
-      const int64_t first_real = std::min<int64_t>(w.first_real, n - 1);
-
-      // Cloze corruption: mask real positions with probability mask_prob;
-      // always mask the final position (matches the eval usage pattern).
-      std::vector<int64_t> ids = w.poi;
-      std::vector<int64_t> masked_pos;
-      std::vector<int64_t> masked_true;
-      for (int64_t i = first_real; i < n; ++i) {
-        const bool is_last = (i == n - 1);
-        if (is_last || rng_.Bernoulli(mask_prob_)) {
-          masked_pos.push_back(i);
-          masked_true.push_back(w.poi[static_cast<size_t>(i)]);
-          ids[static_cast<size_t>(i)] = mask_token_;
-        }
+    // Cloze corruption: mask real positions with probability mask_prob;
+    // always mask the final position (matches the eval usage pattern).
+    std::vector<int64_t> ids = w.poi;
+    std::vector<int64_t> masked_pos;
+    std::vector<int64_t> masked_true;
+    for (int64_t i = first_real; i < n; ++i) {
+      const bool is_last = (i == n - 1);
+      if (is_last || rng_.Bernoulli(mask_prob_)) {
+        masked_pos.push_back(i);
+        masked_true.push_back(w.poi[static_cast<size_t>(i)]);
+        ids[static_cast<size_t>(i)] = mask_token_;
       }
-      Tensor f = EncodeIds(ids, first_real, rng_);
+    }
+    Tensor f = EncodeIds(ids, first_real, rng_);
 
-      std::vector<int64_t> cand_ids;
-      std::vector<int64_t> step_of_row;
-      for (size_t k = 0; k < masked_pos.size(); ++k) {
-        cand_ids.push_back(masked_true[k]);
+    std::vector<int64_t> cand_ids;
+    std::vector<int64_t> step_of_row;
+    for (size_t k = 0; k < masked_pos.size(); ++k) {
+      cand_ids.push_back(masked_true[k]);
+      step_of_row.push_back(masked_pos[k]);
+      for (int64_t neg : sampler_->Sample(masked_true[k], num_negatives,
+                                          {masked_true[k]}, rng_)) {
+        cand_ids.push_back(neg);
         step_of_row.push_back(masked_pos[k]);
-        for (int64_t neg : sampler_->Sample(masked_true[k], num_negatives,
-                                            {masked_true[k]}, rng_)) {
-          cand_ids.push_back(neg);
-          step_of_row.push_back(masked_pos[k]);
-        }
       }
-      const int64_t m = static_cast<int64_t>(masked_pos.size());
-      Tensor c = CandidateEmbedding(cand_ids);
-      Tensor s = NeuralSeqModel::Preferences(c, f, step_of_row, first_real);
-      Tensor scores =
-          ops::Reshape(ops::SumDim(s * c, 1), {m, num_negatives + 1});
-      Tensor pos = ops::Reshape(ops::Slice(scores, 1, 0, 1), {m});
-      Tensor neg = ops::Slice(scores, 1, 1, num_negatives + 1);
-      Tensor loss = train::BceLoss(pos, neg);
+    }
+    const int64_t m = static_cast<int64_t>(masked_pos.size());
+    Tensor c = CandidateEmbedding(cand_ids);
+    Tensor s = NeuralSeqModel::Preferences(c, f, step_of_row, first_real);
+    Tensor scores =
+        ops::Reshape(ops::SumDim(s * c, 1), {m, num_negatives + 1});
+    Tensor pos = ops::Reshape(ops::Slice(scores, 1, 0, 1), {m});
+    Tensor neg = ops::Slice(scores, 1, 1, num_negatives + 1);
+    return train::BceLoss(pos, neg);
+  };
 
-      const int64_t bsz = std::max<int64_t>(1, cfg.batch_size);
-      ops::MulScalar(loss, 1.0f / float(bsz)).Backward();
-      epoch_loss += loss.data()[0];
-      ++seen;
-      if (++in_batch == bsz) {
-        if (cfg.cosine_decay) optimizer.SetLr(schedule.Lr(opt_step));
-        ++opt_step;
-        optimizer.ClipGradNorm(cfg.grad_clip);
-        optimizer.Step();
-        optimizer.ZeroGrad();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) {
-      optimizer.ClipGradNorm(cfg.grad_clip);
-      optimizer.Step();
-      optimizer.ZeroGrad();
-    }
-    last_epoch_loss_ =
-        seen > 0 ? static_cast<float>(epoch_loss / double(seen)) : 0.0f;
-    if (cfg.on_epoch &&
-        !cfg.on_epoch({.epoch = epoch, .loss = last_epoch_loss_})) {
-      break;
-    }
-    if (cfg.verbose) {
-      STISAN_LOG(INFO) << name() << " epoch " << (epoch + 1) << "/"
-                       << cfg.epochs << " loss " << last_epoch_loss_;
-    }
-  }
+  train::Trainer trainer(Parameters(), cfg, &rng_, name(),
+                         ConfigFingerprint());
+  last_train_result_ = trainer.Run(train.size(), loss_fn);
+  last_epoch_loss_ = last_train_result_.last_epoch_loss;
   SetTraining(false);
 }
 

@@ -2,25 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
-#include <unordered_map>
 
 namespace stisan::nn {
 
 Tensor BuildCausalMask(int64_t n) {
-  // Memoised per length: the mask content depends only on n and is
-  // gradient-free, so every AttentionMap probe can share one tensor instead
-  // of re-materialising O(n²) floats.
-  static std::mutex mu;
-  static auto* cache = new std::unordered_map<int64_t, Tensor>();
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = cache->find(n);
-  if (it != cache->end()) return it->second;
   Tensor mask = Tensor::Zeros({n, n});
   float* m = mask.data();
   for (int64_t i = 0; i < n; ++i)
     for (int64_t j = i + 1; j < n; ++j) m[i * n + j] = -1e9f;
-  cache->emplace(n, mask);
   return mask;
 }
 

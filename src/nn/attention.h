@@ -9,10 +9,9 @@
 namespace stisan::nn {
 
 /// Builds an [n, n] additive causal mask: 0 on/below the diagonal, -1e9
-/// strictly above (prevents information leakage, paper §III-D). Memoised per
-/// length behind a mutex — callers share one gradient-free tensor and must
-/// not mutate it. Only the AttentionMap probe needs it; the fused kernel
-/// applies causality by loop bounds.
+/// strictly above (prevents information leakage, paper §III-D). Only the
+/// AttentionMap probe needs it; the fused kernel applies causality by loop
+/// bounds.
 Tensor BuildCausalMask(int64_t n);
 
 /// Single-head scaled dot-product self-attention with a causal mask

@@ -30,7 +30,6 @@ struct ServeMetrics {
   obs::Counter& deadline_exceeded =
       obs::GetCounter("serve/deadline_exceeded");
   obs::Counter& batch_failures = obs::GetCounter("serve/batch_failures");
-  obs::Counter& stale_served = obs::GetCounter("serve/stale_served");
   obs::Counter& invalid_requests =
       obs::GetCounter("serve/invalid_requests");
   obs::Counter& catalog_requests = obs::GetCounter("serve/catalog_requests");
@@ -343,8 +342,7 @@ void RecommendService::WorkerLoop() {
   }
 }
 
-void RecommendService::Fulfil(Op& op, std::vector<float> scores,
-                              bool stale) {
+void RecommendService::Fulfil(Op& op, std::vector<float> scores) {
   op.resolved = true;
   const double latency = SecondsSince(op.enqueued);
   Metrics().latency.Observe(latency);
@@ -371,7 +369,6 @@ void RecommendService::Fulfil(Op& op, std::vector<float> scores,
     result.scores = std::move(scores);
   }
   result.latency_s = latency;
-  result.stale = stale;
   op.promise.set_value(std::move(result));
 }
 
@@ -383,37 +380,8 @@ void RecommendService::Fail(Op& op, Status status) {
   op.promise.set_value(std::move(result));
 }
 
-// Last rung of degradation for a request whose deadline already expired:
-// serve from the user's resident cached prefix when allowed (no sync, no
-// fallback forward), else resolve kDeadlineExceeded. Never throws.
-void RecommendService::ServeStaleOrExpire(Op& op) {
-  ServeMetrics& m = Metrics();
-  // Catalog ops whose deadline expired before stage one have no pool to
-  // serve stale from; they expire directly.
-  if (options_.allow_stale && engine_ != nullptr && !op.catalog) {
-    Session* s = store_.Find(op.user);
-    if (s != nullptr && s->resident && s->state != nullptr &&
-        s->state->cached_len >= 1 &&
-        s->state->cached_len <= static_cast<int64_t>(s->pois.size())) {
-      const auto n = static_cast<size_t>(s->state->cached_len);
-      try {
-        std::vector<int64_t> pois(s->pois.begin(), s->pois.begin() + n);
-        std::vector<double> ts(s->timestamps.begin(),
-                               s->timestamps.begin() + n);
-        std::vector<float> scores =
-            engine_->Score(*s->state, pois, ts, op.candidates);
-        m.stale_served.Inc();
-        Fulfil(op, std::move(scores), /*stale=*/true);
-        return;
-      } catch (const std::exception& e) {
-        m.batch_failures.Inc();
-        Fail(op, Status::Internal(std::string("stale serve failed: ") +
-                                  e.what()));
-        return;
-      }
-    }
-  }
-  m.deadline_exceeded.Inc();
+void RecommendService::Expire(Op& op) {
+  Metrics().deadline_exceeded.Inc();
   Fail(op, Status::DeadlineExceeded("deadline expired before serving"));
 }
 
@@ -442,15 +410,15 @@ void RecommendService::FlushFallback(std::vector<Op>* pending) {
           group.size(), start + static_cast<size_t>(options_.max_batch));
       // Deadline re-check at the last moment before this chunk's forward:
       // ops that expired while coalescing — or while an earlier chunk of
-      // this same flush was forwarding — leave through the stale /
-      // deadline-exceeded rung instead of paying for a padded forward.
+      // this same flush was forwarding — resolve kDeadlineExceeded
+      // instead of paying for a padded forward.
       const auto now = std::chrono::steady_clock::now();
       std::vector<Op*> chunk;
       std::vector<const data::EvalInstance*> instances;
       std::vector<std::vector<int64_t>> candidates;
       for (size_t i = start; i < end; ++i) {
         if (group[i]->has_deadline && now > group[i]->deadline) {
-          ServeStaleOrExpire(*group[i]);
+          Expire(*group[i]);
           continue;
         }
         chunk.push_back(group[i]);
@@ -497,7 +465,7 @@ void RecommendService::ServeScore(Op& op, std::vector<Op>* pending) {
   ServeMetrics& m = Metrics();
   m.requests.Inc();
   if (op.has_deadline && std::chrono::steady_clock::now() > op.deadline) {
-    ServeStaleOrExpire(op);
+    Expire(op);
     return;
   }
   ServeFaultInjector* inj = options_.fault_injector;

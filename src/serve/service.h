@@ -28,10 +28,8 @@
 //     score to admit the new op (kShedOldest).
 //   - Deadlines: per-request (or `default_deadline_us`) deadlines are
 //     checked at dequeue and again before the fallback batch forward;
-//     expired requests resolve kDeadlineExceeded — or, with `allow_stale`,
-//     degrade to a stale serve from the user's resident cached prefix
-//     (the last rung before giving up). Deadline pressure also cuts the
-//     coalescing window short.
+//     expired requests resolve kDeadlineExceeded. Deadline pressure also
+//     cuts the coalescing window short.
 //   - Fault tolerance: an exception barrier around the scoring paths
 //     resolves only the affected request/batch with kInternal and keeps
 //     the worker alive; Shutdown() (and the destructor) resolve every
@@ -50,7 +48,7 @@
 // serve/incremental_scored, serve/fallback_scored, serve/cold_starts,
 // serve/cold_builds, serve/evictions, serve/overflows, serve/shed,
 // serve/rejected, serve/deadline_exceeded,
-// serve/batch_failures, serve/stale_served, serve/invalid_requests,
+// serve/batch_failures, serve/invalid_requests,
 // serve/catalog_requests; histograms time/serve/request (enqueue ->
 // fulfil), serve/queue_wait (enqueue -> dequeue), serve/queue_depth,
 // serve/batch_size, serve/catalog_pool_size; gauge
@@ -115,10 +113,6 @@ struct ServeOptions {
   /// Default per-request deadline in microseconds from enqueue
   /// (0 = none); ScoreAsync overloads may override per request.
   int64_t default_deadline_us = 0;
-  /// Graceful degradation: serve requests whose deadline already expired
-  /// from the user's resident cached prefix (no sync, no fallback
-  /// forward) instead of failing them with kDeadlineExceeded.
-  bool allow_stale = false;
   /// POI catalog size for request validation (ids are 1-based; 0 = only
   /// reject padding/negative ids).
   int64_t num_pois = 0;
@@ -152,9 +146,6 @@ struct ScoreResult {
   std::vector<int64_t> pois;
   /// Enqueue -> fulfil latency as observed by the service, seconds.
   double latency_s = 0.0;
-  /// True when the result was served from the resident cached prefix
-  /// under deadline pressure (allow_stale) instead of the full history.
-  bool stale = false;
 
   bool ok() const { return status.ok(); }
 };
@@ -204,8 +195,7 @@ class RecommendService {
   /// is disabled (options.poi_coords == nullptr) or the user has no
   /// history (no query location); kInvalidArgument for top_k < 1. An
   /// empty neighbourhood resolves OK with empty lists. Same admission,
-  /// deadline and fault semantics as ScoreAsync, except expired catalog
-  /// requests never serve stale (the stale rung has no pool).
+  /// deadline and fault semantics as ScoreAsync.
   std::future<ScoreResult> RankCatalogAsync(int64_t user, int64_t top_k,
                                             int64_t deadline_us);
   std::future<ScoreResult> RankCatalogAsync(int64_t user, int64_t top_k) {
@@ -273,9 +263,10 @@ class RecommendService {
   /// Never throws; every score op it receives gets resolved.
   void Process(std::vector<Op> ops);
   void ServeScore(Op& op, std::vector<Op>* pending);
-  void ServeStaleOrExpire(Op& op);
+  /// Resolves an op whose deadline expired before serving.
+  void Expire(Op& op);
   void FlushFallback(std::vector<Op>* pending);
-  void Fulfil(Op& op, std::vector<float> scores, bool stale = false);
+  void Fulfil(Op& op, std::vector<float> scores);
   void Fail(Op& op, Status status);
 
   /// Stage one for a catalog op: fills op.candidates with the unvisited

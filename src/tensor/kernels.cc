@@ -33,12 +33,6 @@ thread_local bool tl_in_parallel_region = false;
 
 }  // namespace
 
-int64_t ParallelMinWork() {
-  static const int64_t threshold =
-      std::max<int64_t>(1, EnvInt64("STISAN_PARALLEL_WORK", int64_t{1} << 15));
-  return threshold;
-}
-
 ThreadPool& GlobalPool() {
   std::lock_guard<std::mutex> lock(g_pool_mutex);
   if (!g_pool) {

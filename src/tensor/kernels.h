@@ -4,7 +4,7 @@
 // softmax, layernorm, elementwise maps, embedding gather) lives here, behind
 // a process-wide lazily-initialised ThreadPool. Work is dispatched with
 // ParallelRanges: a job is split across the pool only when its element-count
-// cost crosses kParallelMinWork (so tiny test tensors stay serial) and the
+// cost crosses ParallelMinWork() (so tiny test tensors stay serial) and the
 // pool has more than one thread.
 //
 // Determinism: parallelism is only ever over *disjoint output rows/ranges* —
@@ -14,9 +14,8 @@
 // layernorm's gamma/beta grads, embedding scatter) stay serial for the same
 // reason.
 //
-// Env knobs:
+// Env knob:
 //   STISAN_NUM_THREADS    - pool size (default: hardware concurrency)
-//   STISAN_PARALLEL_WORK  - min element-work before threading (default 2^15)
 
 #pragma once
 
@@ -28,8 +27,8 @@
 namespace stisan::kernels {
 
 /// Work threshold (in "element operations") below which ParallelRanges runs
-/// serially. Overridable via STISAN_PARALLEL_WORK.
-int64_t ParallelMinWork();
+/// serially.
+constexpr int64_t ParallelMinWork() { return int64_t{1} << 15; }
 
 /// The process-wide pool. Constructed on first use with STISAN_NUM_THREADS
 /// threads (default: hardware concurrency).

@@ -10,7 +10,7 @@
 //  3. bit-determinism across thread counts on shapes large enough to
 //     actually split in ParallelRanges.
 //
-// Plus the memoisation caches: BuildCausalMask, CachedScaledRelation and
+// Plus the memoisation caches: CachedScaledRelation and
 // CachedSinusoidalEncoding must return shared handles on repeat requests.
 
 #include <gtest/gtest.h>
@@ -430,18 +430,6 @@ TEST(FusedDeterminism, BitIdenticalAcrossThreadCounts) {
 }
 
 // ---- 4. Memoisation caches ---------------------------------------------------
-
-TEST(CacheTest, CausalMaskMemoisedPerLength) {
-  const Tensor a = nn::BuildCausalMask(7);
-  const Tensor b = nn::BuildCausalMask(7);
-  EXPECT_EQ(a.data(), b.data());  // shared handle, built once
-  EXPECT_NE(a.data(), nn::BuildCausalMask(9).data());
-  for (int64_t i = 0; i < 7; ++i) {
-    for (int64_t j = 0; j < 7; ++j) {
-      EXPECT_EQ(a.at({i, j}), j <= i ? 0.0f : -1e9f);
-    }
-  }
-}
 
 TEST(CacheTest, RelationCacheSharesAndMatchesDirectBuild) {
   const std::vector<int64_t> pois = {3, 1, 4, 1, 5};

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "core/stisan.h"
 #include "data/preprocess.h"
@@ -18,6 +22,8 @@
 #include "models/shallow.h"
 #include "models/stan.h"
 #include "models/stgn.h"
+#include "train/checkpoint.h"
+#include "util/io_env.h"
 
 namespace stisan::models {
 namespace {
@@ -199,6 +205,36 @@ TEST(Bert4RecTest, Smoke) {
   Bert4RecModel model(fx.dataset, opts);
   SmokeTest(model);
   EXPECT_GT(model.last_epoch_loss(), 0.0f);
+}
+
+// The cloze loss trains through train::Trainer: the fit reports the
+// trainer's result and writes its epoch checkpoints.
+TEST(Bert4RecTest, FitReportsTrainResultAndWritesCheckpoint) {
+  auto& fx = SharedFixture();
+  char tmpl[] = "/tmp/stisan_bert4rec_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  SanOptions opts;
+  opts.base = TinyNeural();
+  opts.base.train.checkpoint.dir = dir;
+  Bert4RecModel model(fx.dataset, opts);
+  model.Fit(fx.dataset, fx.split.train);
+
+  const train::TrainResult& result = model.last_train_result();
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.epochs_completed, opts.base.train.epochs);
+  EXPECT_EQ(result.last_epoch_loss, model.last_epoch_loss());
+  const train::CheckpointManager manager(opts.base.train.checkpoint,
+                                         model.ConfigFingerprint());
+  const auto state = manager.LoadLatest();
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(state->epoch, opts.base.train.epochs);
+
+  Env* env = Env::Default();
+  if (auto names = env->ListDir(dir); names.ok()) {
+    for (const auto& name : *names) env->DeleteFile(dir + "/" + name);
+  }
+  rmdir(dir.c_str());
 }
 
 TEST(StanTest, Smoke) {

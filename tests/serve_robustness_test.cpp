@@ -13,9 +13,9 @@
 //    and empty candidate lists resolve kInvalidArgument per request.
 // 4. Admission control: kRejectNew / kShedOldest / kBlock under a bounded
 //    queue, with shed/rejected requests resolved immediately.
-// 5. Deadlines + degradation: expired requests resolve kDeadlineExceeded,
-//    or serve stale from the resident cached prefix with allow_stale; the
-//    fallback path re-checks deadlines before paying for a batch forward.
+// 5. Deadlines: expired requests resolve kDeadlineExceeded, resident
+//    cached state or not; the fallback path re-checks deadlines before
+//    paying for a batch forward.
 // 6. Concurrent stress: multi-producer appends/scores/evicts with random
 //    deadlines under queue policy x {worker, Pump} grids, plus a
 //    Drain()-vs-Enqueue race.
@@ -510,30 +510,58 @@ TEST_F(ServeRobustnessTest, BlockPolicyBackpressuresWithoutLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Deadlines + graceful degradation.
+// 5. Deadlines.
 // ---------------------------------------------------------------------------
 
+// An expired request resolves kDeadlineExceeded whether or not its user
+// has a resident cached state; the next live request then scores the
+// user's full history, bit-identical to a cold score.
 TEST_F(ServeRobustnessTest, ExpiredDeadlineResolvesDeadlineExceeded) {
   core::StisanModel model(ds_, TinyStisanOptions());
+  const auto users = PickUsers(/*min_len=*/8, /*max_users=*/1);
+  ASSERT_EQ(users.size(), 1u);
+  const int64_t user = users[0];
+  const auto& seq = ds_.user_seqs[static_cast<size_t>(user)];
+
   ServeOptions so;
   so.start_worker = false;
+  so.max_seq_len = 32;
   RecommendService service(&model, so);
-  ASSERT_TRUE(service.Append(1, 5, 100.0).ok());
 
-  auto fut = service.ScoreAsync(1, {1, 2, 3}, /*deadline_us=*/1);
+  // A user with one check-in and no resident state.
+  ASSERT_TRUE(service.Append(user + 100, 5, 100.0).ok());
+  auto fut = service.ScoreAsync(user + 100, {1, 2, 3}, /*deadline_us=*/1);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   service.Pump();
   ScoreResult r = fut.get();
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
       << r.status.ToString();
-  EXPECT_FALSE(r.stale);
+  EXPECT_TRUE(r.scores.empty());
   EXPECT_EQ(obs::GetCounter("serve/deadline_exceeded").Get(), 1u);
 
-  // A comfortable deadline serves normally.
-  auto ok = service.ScoreAsync(1, {1, 2, 3}, /*deadline_us=*/60'000'000);
+  // A resident user: a cached state over 5 visits, then a 6th appended.
+  for (size_t k = 0; k < 5; ++k) {
+    ASSERT_TRUE(service.Append(user, seq[k].poi, seq[k].timestamp).ok());
+  }
+  const auto cands = Candidates(seq[4].poi, 15, 13);
+  ASSERT_TRUE(service.Score(user, cands).ok());
+  ASSERT_TRUE(service.Append(user, seq[5].poi, seq[5].timestamp).ok());
+  auto resident = service.ScoreAsync(user, cands, /*deadline_us=*/1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   service.Pump();
-  EXPECT_TRUE(ok.get().ok());
-  EXPECT_EQ(obs::GetCounter("serve/deadline_exceeded").Get(), 1u);
+  r = resident.get();
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+      << r.status.ToString();
+  EXPECT_TRUE(r.scores.empty());
+  EXPECT_EQ(obs::GetCounter("serve/deadline_exceeded").Get(), 2u);
+
+  // A comfortable deadline serves the full 6-visit history.
+  auto ok = service.ScoreAsync(user, cands, /*deadline_us=*/60'000'000);
+  service.Pump();
+  ScoreResult fresh = ok.get();
+  ASSERT_TRUE(fresh.ok()) << fresh.status.ToString();
+  EXPECT_EQ(fresh.scores, ColdScore(model, seq, 6, cands));
+  EXPECT_EQ(obs::GetCounter("serve/deadline_exceeded").Get(), 2u);
 }
 
 TEST_F(ServeRobustnessTest, DefaultDeadlineAppliesToEveryRequest) {
@@ -547,55 +575,6 @@ TEST_F(ServeRobustnessTest, DefaultDeadlineAppliesToEveryRequest) {
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   service.Pump();
   EXPECT_EQ(fut.get().status.code(), StatusCode::kDeadlineExceeded);
-}
-
-// The stale rung: an expired request degrades to the resident cached
-// prefix — bit-identical to a cold score over that prefix — instead of
-// failing; without a resident state it still expires.
-TEST_F(ServeRobustnessTest, StaleServeFromResidentPrefix) {
-  core::StisanModel model(ds_, TinyStisanOptions());
-  const auto users = PickUsers(/*min_len=*/8, /*max_users=*/1);
-  ASSERT_EQ(users.size(), 1u);
-  const int64_t user = users[0];
-  const auto& seq = ds_.user_seqs[static_cast<size_t>(user)];
-
-  ServeOptions so;
-  so.start_worker = false;
-  so.max_seq_len = 32;
-  so.allow_stale = true;
-  RecommendService service(&model, so);
-
-  // Build a resident cache state over the first 5 visits.
-  for (size_t k = 0; k < 5; ++k) {
-    ASSERT_TRUE(service.Append(user, seq[k].poi, seq[k].timestamp).ok());
-  }
-  const auto cands = Candidates(seq[4].poi, 15, 13);
-  ASSERT_TRUE(service.Score(user, cands).ok());
-
-  // Append a 6th visit, then let the request's deadline expire: it must
-  // serve stale from the cached 5-visit prefix.
-  ASSERT_TRUE(service.Append(user, seq[5].poi, seq[5].timestamp).ok());
-  auto fut = service.ScoreAsync(user, cands, /*deadline_us=*/1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  service.Pump();
-  ScoreResult r = fut.get();
-  ASSERT_TRUE(r.ok()) << r.status.ToString();
-  EXPECT_TRUE(r.stale);
-  EXPECT_EQ(r.scores, ColdScore(model, seq, 5, cands));
-  EXPECT_EQ(obs::GetCounter("serve/stale_served").Get(), 1u);
-  EXPECT_EQ(obs::GetCounter("serve/deadline_exceeded").Get(), 0u);
-
-  // A fresh request then catches up to the full 6-visit history.
-  ScoreResult fresh = service.Score(user, cands);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_FALSE(fresh.stale);
-  EXPECT_EQ(fresh.scores, ColdScore(model, seq, 6, cands));
-
-  // No resident state (different user): the expired request fails.
-  auto cold = service.ScoreAsync(user + 100, cands, /*deadline_us=*/1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  service.Pump();
-  EXPECT_EQ(cold.get().status.code(), StatusCode::kDeadlineExceeded);
 }
 
 // Slow fallback model: requests whose deadline expires while an earlier
@@ -666,7 +645,6 @@ TEST_F(ServeRobustnessTest, ConcurrentStressEveryFutureResolves) {
       so.max_queue = 8;
       so.queue_policy = policy;
       so.num_pois = ds_.num_pois();
-      so.allow_stale = true;
       so.batch_window_us = worker ? 100 : 0;
       RecommendService service(&model, so);
 

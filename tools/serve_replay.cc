@@ -30,7 +30,7 @@
 // service; see DESIGN.md §15):
 //
 //   serve_replay --offered-rates 200,500,1000,2000 --duration 2
-//                --deadline-ms 50 --max-queue 256 --policy shed [--stale]
+//                --deadline-ms 50 --max-queue 256 --policy shed
 //                [--overload-json BENCH_serving_overload.json]
 //
 //   --offered-rates R1,R2,..  requests/second per sweep point; the
@@ -43,8 +43,6 @@
 //   --deadline-ms D   per-request deadline (0 = none)
 //   --max-queue N     admission bound on the op queue (0 = unbounded)
 //   --policy P        block | reject | shed (ServeOptions::queue_policy)
-//   --stale           serve expired requests from the resident cached
-//                     prefix instead of failing them
 //   --overload-json F write the sweep (goodput, shed rate, latency
 //                     percentiles per offered rate) as JSON
 //
@@ -95,8 +93,7 @@ double Percentile(std::vector<double> sorted, double p) {
 struct OverloadPoint {
   double offered_rate = 0.0;
   size_t offered = 0;           // requests actually sent
-  size_t ok = 0;                // scored (fresh or stale) within contract
-  size_t stale = 0;             // subset of ok served from the cached prefix
+  size_t ok = 0;                // scored within contract
   size_t shed_or_rejected = 0;  // kResourceExhausted (admission control)
   size_t deadline_exceeded = 0;
   size_t other_errors = 0;      // kInternal / kUnavailable (should be 0)
@@ -158,7 +155,6 @@ OverloadPoint RunOverloadPoint(core::StisanModel* model,
     ++point.offered;
     if (r.ok()) {
       ++point.ok;
-      if (r.stale) ++point.stale;
       ok_latencies.push_back(r.latency_s);
     } else if (r.status.code() == StatusCode::kResourceExhausted) {
       ++point.shed_or_rejected;
@@ -248,7 +244,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    else if (std::strcmp(argv[i], "--stale") == 0) so.allow_stale = true;
     else if (std::strcmp(argv[i], "--overload-json") == 0)
       overload_json = next();
     else {
@@ -309,21 +304,19 @@ int main(int argc, char** argv) {
     const int64_t deadline_us = static_cast<int64_t>(deadline_ms * 1e3);
     std::printf(
         "serve_replay overload: %zu rates, %.1f s/point, deadline %.1f ms, "
-        "max_queue %lld, policy %s, stale %s\n",
+        "max_queue %lld, policy %s\n",
         offered_rates.size(), duration_s, deadline_ms,
-        static_cast<long long>(so.max_queue), PolicyName(so.queue_policy),
-        so.allow_stale ? "on" : "off");
+        static_cast<long long>(so.max_queue), PolicyName(so.queue_policy));
     std::printf(
-        "%10s %9s %9s %7s %7s %9s %9s %9s %9s %9s\n", "offered/s", "sent",
-        "ok", "stale", "shed", "deadline", "goodput/s", "shedrate", "p50ms",
-        "p99ms");
+        "%10s %9s %9s %7s %9s %9s %9s %9s %9s\n", "offered/s", "sent", "ok",
+        "shed", "deadline", "goodput/s", "shedrate", "p50ms", "p99ms");
     std::vector<OverloadPoint> sweep;
     for (double rate : offered_rates) {
       OverloadPoint pt = RunOverloadPoint(&model, so, timed, cands, rate,
                                           duration_s, deadline_us);
       std::printf(
-          "%10.0f %9zu %9zu %7zu %7zu %9zu %9.1f %9.3f %9.3f %9.3f\n",
-          pt.offered_rate, pt.offered, pt.ok, pt.stale, pt.shed_or_rejected,
+          "%10.0f %9zu %9zu %7zu %9zu %9.1f %9.3f %9.3f %9.3f\n",
+          pt.offered_rate, pt.offered, pt.ok, pt.shed_or_rejected,
           pt.deadline_exceeded, pt.goodput_rps, pt.shed_rate, pt.p50_ms,
           pt.p99_ms);
       if (pt.other_errors > 0) {
@@ -341,13 +334,11 @@ int main(int argc, char** argv) {
       out << "  \"deadline_ms\": " << deadline_ms << ",\n";
       out << "  \"max_queue\": " << so.max_queue << ",\n";
       out << "  \"policy\": \"" << PolicyName(so.queue_policy) << "\",\n";
-      out << "  \"allow_stale\": " << (so.allow_stale ? "true" : "false")
-          << ",\n  \"sweep\": [\n";
+      out << "  \"sweep\": [\n";
       for (size_t i = 0; i < sweep.size(); ++i) {
         const OverloadPoint& pt = sweep[i];
         out << "    {\"offered_rate\": " << pt.offered_rate
             << ", \"offered\": " << pt.offered << ", \"ok\": " << pt.ok
-            << ", \"stale_served\": " << pt.stale
             << ", \"shed_or_rejected\": " << pt.shed_or_rejected
             << ", \"deadline_exceeded\": " << pt.deadline_exceeded
             << ", \"other_errors\": " << pt.other_errors
