@@ -7,16 +7,19 @@
 //
 // The *_Threads benchmarks take (n, threads) pairs at the paper's STiSAN
 // shape (sequence n=100, attention dim d=32); threads=0 means "hardware
-// concurrency". Each run re-sizes the global kernel pool and reports the
-// effective worker count in the "threads" counter, so serial vs threaded
-// forwards can be compared from one binary.
+// concurrency". Each run re-sizes the global kernel pool, reports the
+// effective worker count in the "threads" counter and restores the pool
+// size it found, so serial vs threaded forwards can be compared from one
+// binary and every other row runs at the STISAN_NUM_THREADS size.
 
 // BM_FusedAttention* time a full CausalSelfAttention module (projections
 // plus the fused attention node), forward and forward+backward, at
-// (n, heads). BM_AttentionOp* compare the raw attention core without the
-// q/k/v projection GEMMs: the composed per-op chain (built here, as in the
-// test oracle) against the single fused node, so the fusion speedup is not
-// diluted; the checked-in BENCH_attention.json captures one JSON run.
+// sequence length n. BM_AttentionOp* compare the raw attention core without
+// the q/k/v projection GEMMs: the composed per-op chain (built here, as in
+// the test oracle) against the single fused node, so the fusion speedup is
+// not diluted. The checked-in BENCH_attention.json holds the aggregates of
+//   STISAN_NUM_THREADS=1 ./bench_micro_attention --benchmark_repetitions=5
+//   --benchmark_report_aggregates_only=true --benchmark_format=json
 
 // The *Inference* benchmarks compare serving-mode forwards (no grad
 // recording, fused lowering) on the scalar reference kernels and on the
@@ -87,6 +90,7 @@ BENCHMARK(BM_IaabBlockTrainStep)->Arg(32)->Arg(64);
 void RunEncoderThreads(benchmark::State& state, bool backward) {
   const int64_t n = state.range(0);
   const int64_t d = 32;
+  const int64_t threads_before = kernels::NumThreads();
   kernels::SetNumThreads(state.range(1));
   Rng rng(9);
   IaabEncoder encoder(Options(AttentionMode::kIntervalAware, d), 2, rng);
@@ -102,7 +106,7 @@ void RunEncoderThreads(benchmark::State& state, bool backward) {
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["threads"] = static_cast<double>(kernels::NumThreads());
-  kernels::SetNumThreads(0);
+  kernels::SetNumThreads(threads_before);
 }
 
 void BM_StisanEncoderForwardThreads(benchmark::State& state) {
@@ -119,14 +123,12 @@ void BM_StisanEncoderTrainStepThreads(benchmark::State& state) {
 BENCHMARK(BM_StisanEncoderTrainStepThreads)->Args({100, 1})->Args({100, 0});
 
 // A full CausalSelfAttention module (projections + fused attention core)
-// at (n, heads), d=32.
+// at sequence length n, d=32.
 void RunAttentionModule(benchmark::State& state, bool backward) {
   const int64_t n = state.range(0);
-  const int64_t heads = state.range(1);
   const int64_t d = 32;
   Rng rng(11);
-  nn::CausalSelfAttention attn(d, /*dropout=*/0.0f, rng, /*causal=*/true,
-                               /*identity_init_values=*/false, heads);
+  nn::CausalSelfAttention attn(d, /*dropout=*/0.0f, rng);
   attn.SetTraining(false);
   Tensor bias = SoftmaxScaleRelation(Tensor::Zeros({n, n}), 0);
   for (auto _ : state) {
@@ -139,18 +141,15 @@ void RunAttentionModule(benchmark::State& state, bool backward) {
   }
 }
 
-#define STISAN_MODULE_ARGS \
-  ->Args({32, 1})->Args({64, 1})->Args({128, 1})->Args({32, 2})->Args({64, 2})->Args({128, 2})
-
 void BM_FusedAttentionForward(benchmark::State& state) {
   RunAttentionModule(state, /*backward=*/false);
 }
-BENCHMARK(BM_FusedAttentionForward) STISAN_MODULE_ARGS;
+BENCHMARK(BM_FusedAttentionForward)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_FusedAttentionTrainStep(benchmark::State& state) {
   RunAttentionModule(state, /*backward=*/true);
 }
-BENCHMARK(BM_FusedAttentionTrainStep) STISAN_MODULE_ARGS;
+BENCHMARK(BM_FusedAttentionTrainStep)->Arg(32)->Arg(64)->Arg(128);
 
 // Raw attention core softmax(qkᵀ·scale + mask + bias)v without the
 // projection GEMMs: the composed op chain the fused node replaced vs the
@@ -209,8 +208,7 @@ void RunInferenceBackend(benchmark::State& state, int simd_mode) {
   const int64_t d = 64;
   kernels::SetSimdEnabledForTesting(simd_mode);
   Rng rng(17);
-  nn::CausalSelfAttention attn(d, /*dropout=*/0.0f, rng, /*causal=*/true,
-                               /*identity_init_values=*/false, /*heads=*/1);
+  nn::CausalSelfAttention attn(d, /*dropout=*/0.0f, rng);
   attn.SetTraining(false);
   Tensor bias = SoftmaxScaleRelation(Tensor::Zeros({n, n}), 0);
   {

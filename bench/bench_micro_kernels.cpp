@@ -6,10 +6,13 @@
 // Emit machine-readable results with:
 //   ./bench_micro_kernels --benchmark_format=json
 //
-// The checked-in BENCH_kernels.json captures one JSON run from the
-// release preset (build-bench). The ISSUE acceptance ratio is
-// BM_GemmScalar / BM_GemmSimd cpu_time at (100, 64): the AVX2 backend
-// must be at least 2x faster on one core. The context keys
+// The checked-in BENCH_kernels.json holds the aggregates of
+//   STISAN_NUM_THREADS=1 ./bench_micro_kernels --benchmark_repetitions=5
+//   --benchmark_report_aggregates_only=true --benchmark_format=json
+// from the `default` (Release) preset: one kernel thread, so each row is
+// one core's work and cpu_time is the kernel's cost. The gate is the
+// BM_GemmScalar / BM_GemmSimd cpu_time ratio at (100, 64): the AVX2
+// backend must be at least 2x faster on one core. The context keys
 // "stisan_build_type" / "stisan_simd_backend" record the compile mode and
 // the dispatched backend ("library_build_type" describes the system
 // libbenchmark, not this code).

@@ -7,7 +7,7 @@ IntervalAwareAttentionBlock::IntervalAwareAttentionBlock(
     : options_(options),
       ln_attention_(options.dim),
       attention_(options.dim, options.dropout, rng, options.causal,
-                 /*identity_init_values=*/options.rezero, options.num_heads),
+                 /*identity_init_values=*/true),
       values_(options.dim, options.dim, rng, /*bias=*/false),
       ln_ffn_(options.dim),
       ffn_(options.dim, options.ffn_hidden, options.dropout, rng),
@@ -18,9 +18,7 @@ IntervalAwareAttentionBlock::IntervalAwareAttentionBlock(
   RegisterModule(&ln_ffn_);
   RegisterModule(&ffn_);
   RegisterModule(&residual_dropout_);
-  if (options_.rezero) {
-    gate_ffn_ = RegisterParameter(Tensor::Zeros({1}));
-  }
+  gate_ffn_ = RegisterParameter(Tensor::Zeros({1}));
 }
 
 Tensor IntervalAwareAttentionBlock::Forward(const Tensor& x,
@@ -64,8 +62,7 @@ Tensor IntervalAwareAttentionBlock::ForwardSplit(const Tensor& x,
   Tensor h = x + residual_dropout_.Forward(attended, rng);
 
   // ---- Feed-forward sub-layer: h = h + FFN(LN(h)) ----
-  Tensor ffn_out = ffn_.Forward(ln_ffn_.Forward(h), rng);
-  if (gate_ffn_.defined()) ffn_out = ffn_out * gate_ffn_;
+  Tensor ffn_out = ffn_.Forward(ln_ffn_.Forward(h), rng) * gate_ffn_;
   *base = h;
   return residual_dropout_.Forward(ffn_out, rng);
 }

@@ -34,18 +34,14 @@ struct IaabOptions {
   /// false = bidirectional attention (Bert4Rec); masking then comes only
   /// from the caller-provided mask.
   bool causal = true;
-  /// Attention heads (dim must divide evenly). The paper is single-head;
-  /// multi-head is provided as a library extension.
-  int64_t num_heads = 1;
-  /// CPU-scale initialisation scheme: W_V starts as the identity (the
-  /// attention branch mixes actual embeddings — and thus the geography
-  /// kernel — from the first step, letting the relation bias act
-  /// immediately) and the FFN residual branch is gated by a learnable
-  /// ReZero scalar initialised to 0.
-  bool rezero = true;
 };
 
 /// A single Interval Aware Attention Block.
+///
+/// CPU-scale initialisation: W_V starts as the identity (the attention
+/// branch mixes actual embeddings — and thus the geography kernel — from
+/// the first step, letting the relation bias act immediately) and the FFN
+/// residual branch is gated by a learnable ReZero scalar initialised to 0.
 class IntervalAwareAttentionBlock : public nn::Module {
  public:
   IntervalAwareAttentionBlock(const IaabOptions& options, Rng& rng);
@@ -76,7 +72,7 @@ class IntervalAwareAttentionBlock : public nn::Module {
   nn::LayerNorm ln_ffn_;
   nn::PointwiseFeedForward ffn_;
   nn::Dropout residual_dropout_;
-  Tensor gate_ffn_;  // [1] ReZero gate on the FFN branch (optional)
+  Tensor gate_ffn_;  // [1] ReZero gate on the FFN branch
 };
 
 /// A stack of N blocks with a final layer norm.

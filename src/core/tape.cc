@@ -111,15 +111,6 @@ Tensor ApplyTape(const Tensor& x, const std::vector<double>& timestamps,
   return x + CachedSinusoidalEncoding(pos, x.size(1));
 }
 
-Tensor ApplyVanillaPe(const Tensor& x) {
-  STISAN_CHECK_EQ(x.dim(), 2);
-  // Integer positions 1..n go through the same cache (one entry per n).
-  const int64_t n = x.size(0);
-  std::vector<double> pos(static_cast<size_t>(n));
-  for (int64_t k = 0; k < n; ++k) pos[size_t(k)] = double(k + 1);
-  return x + CachedSinusoidalEncoding(pos, x.size(1));
-}
-
 Tensor CachedSinusoidalEncoding(const std::vector<double>& positions,
                                 int64_t dim) {
   PositionsKey key{positions, dim};

@@ -36,9 +36,6 @@ std::vector<double> TimeAwarePositions(const std::vector<double>& timestamps,
 Tensor ApplyTape(const Tensor& x, const std::vector<double>& timestamps,
                  int64_t first_real = 0);
 
-/// Vanilla counterpart used by ablations: x + sinusoidal PE over 1..n.
-Tensor ApplyVanillaPe(const Tensor& x);
-
 /// Memoised nn::SinusoidalEncoding keyed on the full (positions, dim)
 /// content (LRU, exact-equality compare): TAPE tables repeat across epochs
 /// and eval batches, so the O(n·d) sin/cos rebuild is skipped on a hit.

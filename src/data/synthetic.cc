@@ -17,7 +17,9 @@ constexpr double kHour = 3600.0;
 struct World {
   std::vector<geo::GeoPoint> cluster_centers;
   std::vector<int64_t> poi_cluster;       // cluster of each POI (1-based ids)
-  std::vector<double> poi_popularity;     // unnormalised weight per POI
+  /// Movement-sampling weight per POI: Zipf popularity raised to
+  /// popularity_weight, computed once per world.
+  std::vector<double> poi_weight;
   std::vector<std::vector<int64_t>> cluster_pois;
 };
 
@@ -37,7 +39,7 @@ World BuildWorld(const SyntheticConfig& cfg, Rng& rng,
   poi_coords->clear();
   poi_coords->push_back({});  // padding POI 0
   world.poi_cluster.assign(static_cast<size_t>(cfg.num_pois) + 1, 0);
-  world.poi_popularity.assign(static_cast<size_t>(cfg.num_pois) + 1, 0.0);
+  world.poi_weight.assign(static_cast<size_t>(cfg.num_pois) + 1, 0.0);
   world.cluster_pois.resize(static_cast<size_t>(cfg.num_clusters));
   std::vector<int64_t> rank(static_cast<size_t>(cfg.num_pois));
   for (size_t i = 0; i < rank.size(); ++i) rank[i] = static_cast<int64_t>(i);
@@ -51,32 +53,32 @@ World BuildWorld(const SyntheticConfig& cfg, Rng& rng,
         rng.Normal(0.0, cfg.cluster_radius_km)));
     world.poi_cluster[static_cast<size_t>(p)] = static_cast<int64_t>(cluster);
     world.cluster_pois[cluster].push_back(p);
-    world.poi_popularity[static_cast<size_t>(p)] = std::pow(
+    const double popularity = std::pow(
         double(rank[static_cast<size_t>(p - 1)] + 1), -cfg.poi_zipf_alpha);
+    world.poi_weight[static_cast<size_t>(p)] =
+        std::pow(popularity, cfg.popularity_weight);
   }
   return world;
 }
 
-// Samples a POI id from `candidates` weighted by popularity^exponent.
+// Samples a POI id from `candidates` weighted by World::poi_weight.
 int64_t SampleByPopularity(const std::vector<int64_t>& candidates,
-                           const World& world, double exponent, Rng& rng) {
+                           const World& world, Rng& rng) {
   STISAN_CHECK(!candidates.empty());
   std::vector<double> w(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i)
-    w[i] = std::pow(world.poi_popularity[static_cast<size_t>(candidates[i])],
-                    exponent);
+    w[i] = world.poi_weight[static_cast<size_t>(candidates[i])];
   return candidates[rng.Categorical(w)];
 }
 
-// Samples weighted by popularity^exponent x exp(-distance / decay_km),
+// Samples weighted by World::poi_weight x exp(-distance / decay_km),
 // optionally x exp(momentum * cos(angle between the previous move direction
 // and the move to the candidate)).
 int64_t SampleByPopularityAndDistance(const std::vector<int64_t>& candidates,
                                       const World& world,
                                       const std::vector<geo::GeoPoint>& coords,
                                       const geo::GeoPoint& origin,
-                                      double decay_km, double exponent,
-                                      Rng& rng,
+                                      double decay_km, Rng& rng,
                                       const geo::GeoPoint* previous = nullptr,
                                       double momentum = 0.0) {
   STISAN_CHECK(!candidates.empty());
@@ -92,10 +94,8 @@ int64_t SampleByPopularityAndDistance(const std::vector<int64_t>& candidates,
   for (size_t i = 0; i < candidates.size(); ++i) {
     const auto& c = coords[static_cast<size_t>(candidates[i])];
     const double dist = geo::HaversineKm(origin, c);
-    double weight =
-        std::pow(world.poi_popularity[static_cast<size_t>(candidates[i])],
-                 exponent) *
-        std::exp(-dist / decay_km);
+    double weight = world.poi_weight[static_cast<size_t>(candidates[i])] *
+                    std::exp(-dist / decay_km);
     if (dir_norm > 1e-9) {
       double mx = (c.lon - origin.lon) * std::cos(origin.lat * M_PI / 180.0);
       double my = c.lat - origin.lat;
@@ -160,7 +160,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
     for (int64_t f = 0; f < cfg.favorites; ++f) {
       favorites.push_back(SampleByPopularityAndDistance(
           anchor_pools[0], world, ds.poi_coords, anchor_centers[0],
-          cfg.anchor_decay_km, cfg.popularity_weight, user_rng));
+          cfg.anchor_decay_km, user_rng));
     }
 
     const int64_t length = user_rng.UniformInt(cfg.min_checkins,
@@ -199,8 +199,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
           const auto& origin = ds.poi_coords[static_cast<size_t>(current)];
           auto near_ids = index.WithinRadius(origin, cfg.nearby_radius_km);
           if (near_ids.empty()) {
-            next = SampleByPopularity(all_pois, world, cfg.popularity_weight,
-                                      user_rng);
+            next = SampleByPopularity(all_pois, world, user_rng);
           } else {
             std::vector<int64_t> near_pois(near_ids.size());
             for (size_t k = 0; k < near_ids.size(); ++k)
@@ -211,15 +210,13 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
                     : nullptr;
             next = SampleByPopularityAndDistance(
                 near_pois, world, ds.poi_coords, origin,
-                cfg.distance_decay_km, cfg.popularity_weight, user_rng,
-                prev_loc, cfg.momentum);
+                cfg.distance_decay_km, user_rng, prev_loc, cfg.momentum);
           }
         } else if (user_rng.Bernoulli(cfg.p_favorite)) {
           next = favorites[user_rng.UniformInt(
               static_cast<uint64_t>(favorites.size()))];
         } else {
-          next = SampleByPopularity(all_pois, world, cfg.popularity_weight,
-                                    user_rng);
+          next = SampleByPopularity(all_pois, world, user_rng);
         }
         seq.push_back({next, t});
         previous = current;
@@ -244,10 +241,9 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
         const size_t a = routine_position;
         next = SampleByPopularityAndDistance(
             anchor_pools[a], world, ds.poi_coords, anchor_centers[a],
-            cfg.anchor_decay_km, cfg.popularity_weight, user_rng);
+            cfg.anchor_decay_km, user_rng);
       } else {
-        next = SampleByPopularity(all_pois, world, cfg.popularity_weight,
-                                  user_rng);
+        next = SampleByPopularity(all_pois, world, user_rng);
       }
       seq.push_back({next, t});
       previous = 0;  // a long gap resets the movement direction

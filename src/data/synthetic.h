@@ -75,7 +75,6 @@ struct SyntheticConfig {
   double p_cycle_anchor = 0.75;
 
   // ---- Temporal structure ----
-  double p_long_gap = 0.3;           // overnight / multi-day break
   double short_gap_hours_mean = 2.5;
   double long_gap_hours_mean = 18.0;
 

@@ -9,22 +9,13 @@ namespace stisan::geo {
 CandidateGenerator::CandidateGenerator(const SpatialGridIndex& index,
                                        CandidatePoolOptions options)
     : index_(index), options_(options) {
-  STISAN_CHECK(options_.pool_size > 0 || options_.radius_km > 0.0);
+  STISAN_CHECK_GT(options_.pool_size, 0);
 }
 
 void CandidateGenerator::Generate(
     const GeoPoint& query, const std::function<bool(int64_t)>& accept,
     SpatialGridIndex::QueryScratch* scratch,
     std::vector<int64_t>* out) const {
-  if (options_.radius_km > 0.0) {
-    index_.WithinRadiusInto(query, options_.radius_km, out);
-    if (accept) {
-      out->erase(std::remove_if(out->begin(), out->end(),
-                                [&accept](int64_t id) { return !accept(id); }),
-                 out->end());
-    }
-    return;
-  }
   index_.KNearestInto(query, options_.pool_size, accept, scratch, out);
 }
 

@@ -2,12 +2,12 @@
 // geo-pruned candidate generator over the sparse SpatialGridIndex.
 //
 // For each query location it retrieves a candidate pool — the pool_size
-// nearest accepted points (default), or every accepted point within
-// radius_km — that stage two (eval::BatchScorer) then re-ranks. Batches of
-// queries are partitioned into contiguous ranges across a caller-supplied
-// thread pool (the evaluators pass the kernel backend's global pool); each
-// range reuses one QueryScratch and the caller's output vectors, so the
-// per-query hot path performs no allocations at steady state.
+// nearest accepted points — that stage two (eval::BatchScorer) then
+// re-ranks. Batches of queries are partitioned into contiguous ranges
+// across a caller-supplied thread pool (the evaluators pass the kernel
+// backend's global pool); each range reuses one QueryScratch and the
+// caller's output vectors, so the per-query hot path performs no
+// allocations at steady state.
 //
 // Determinism: each pool is a pure function of (index, query, accept), and
 // every output slot is written by exactly one worker, so results are
@@ -26,12 +26,9 @@
 namespace stisan::geo {
 
 struct CandidatePoolOptions {
-  /// k-nearest mode (the default): each pool holds the pool_size nearest
-  /// accepted points, ascending by distance.
+  /// Each pool holds the pool_size nearest accepted points, ascending by
+  /// distance.
   int64_t pool_size = 500;
-  /// > 0 switches to radius mode: each pool holds every accepted point
-  /// within radius_km (unsorted, unbounded size).
-  double radius_km = 0.0;
 };
 
 class CandidateGenerator {

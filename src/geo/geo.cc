@@ -36,11 +36,6 @@ void BoundingBox::Extend(const GeoPoint& p) {
   max_lon = std::max(max_lon, p.lon);
 }
 
-bool BoundingBox::Contains(const GeoPoint& p) const {
-  return p.lat >= min_lat && p.lat <= max_lat && p.lon >= min_lon &&
-         p.lon <= max_lon;
-}
-
 std::string ToString(const GeoPoint& p) {
   return StrFormat("(%.5f, %.5f)", p.lat, p.lon);
 }

@@ -33,7 +33,6 @@ struct BoundingBox {
   double max_lon = -180.0;
 
   void Extend(const GeoPoint& p);
-  bool Contains(const GeoPoint& p) const;
   bool empty() const { return min_lat > max_lat; }
 };
 

@@ -192,15 +192,7 @@ void SpatialGridIndex::KNearestInto(
 std::vector<int64_t> SpatialGridIndex::WithinRadius(
     const GeoPoint& query, double radius_km) const {
   std::vector<int64_t> out;
-  WithinRadiusInto(query, radius_km, &out);
-  return out;
-}
-
-void SpatialGridIndex::WithinRadiusInto(const GeoPoint& query,
-                                        double radius_km,
-                                        std::vector<int64_t>* out) const {
-  out->clear();
-  if (points_.empty()) return;
+  if (points_.empty()) return out;
   // Cells are cell_km tall in latitude by construction; their longitudinal
   // width in km narrows toward the poles — size the scan with the minimum
   // width over the grid's latitude range plus a safety cell, clamped to the
@@ -226,11 +218,12 @@ void SpatialGridIndex::WithinRadiusInto(const GeoPoint& query,
       for (const int64_t* it = span.begin; it != span.end; ++it) {
         if (HaversineKm(query, points_[static_cast<size_t>(*it)]) <=
             radius_km) {
-          out->push_back(*it);
+          out.push_back(*it);
         }
       }
     }
   }
+  return out;
 }
 
 }  // namespace stisan::geo

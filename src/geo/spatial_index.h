@@ -56,10 +56,6 @@ class SpatialGridIndex {
   std::vector<int64_t> WithinRadius(const GeoPoint& query,
                                     double radius_km) const;
 
-  /// WithinRadius into a caller-owned buffer (`out` is cleared first).
-  void WithinRadiusInto(const GeoPoint& query, double radius_km,
-                        std::vector<int64_t>* out) const;
-
   int64_t size() const { return static_cast<int64_t>(points_.size()); }
   const GeoPoint& point(int64_t id) const {
     return points_[static_cast<size_t>(id)];

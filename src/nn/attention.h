@@ -25,8 +25,8 @@ Tensor BuildCausalMask(int64_t n);
 /// gradients.
 ///
 /// Lowering: the whole softmax(qkᵀ·scale + mask + bias)v chain runs as one
-/// ops::FusedAttention node per head. tests/fused_attention_test.cpp keeps
-/// the composed per-op chain as its bit-exactness oracle.
+/// ops::FusedAttention node. tests/fused_attention_test.cpp keeps the
+/// composed per-op chain as its bit-exactness oracle.
 class CausalSelfAttention : public Module {
  public:
   /// `causal` = false disables the built-in causal mask (bidirectional
@@ -35,11 +35,8 @@ class CausalSelfAttention : public Module {
   /// attention output starts as a plain attention-weighted average of the
   /// (normed) inputs — content-meaningful from the first step, which lets
   /// additive biases like IAAB's relation matrix act immediately.
-  /// `num_heads` > 1 splits queries/keys/values into independent heads
-  /// (dim must be divisible); the paper's models are single-head.
   CausalSelfAttention(int64_t dim, float dropout, Rng& rng,
-                      bool causal = true, bool identity_init_values = false,
-                      int64_t num_heads = 1);
+                      bool causal = true, bool identity_init_values = false);
 
   /// x: [n, d] or a padded batch [b, n, d]. bias: [n, n], [b, n, n], or
   /// undefined. Returns the same rank as x. Batched rows run through the
@@ -52,16 +49,10 @@ class CausalSelfAttention : public Module {
   Tensor AttentionMap(const Tensor& x, const Tensor& bias) const;
 
   int64_t dim() const { return dim_; }
-  int64_t num_heads() const { return num_heads_; }
   bool causal() const { return causal_; }
 
  private:
-  /// Softmax(Q K^T / sqrt(dk) + masks) V for one head's [n, dk] slices.
-  Tensor HeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                       const Tensor& bias, int64_t n, Rng& rng) const;
-
   int64_t dim_;
-  int64_t num_heads_;
   bool causal_;
   Linear wq_;
   Linear wk_;

@@ -23,32 +23,6 @@ Tensor GruCell::Forward(const Tensor& x, const Tensor& h) const {
   return one_minus_z * n + z * h;
 }
 
-LstmCell::LstmCell(int64_t input_dim, int64_t hidden_dim, Rng& rng)
-    : hidden_dim_(hidden_dim),
-      xi_(input_dim, hidden_dim, rng), hi_(hidden_dim, hidden_dim, rng, false),
-      xf_(input_dim, hidden_dim, rng), hf_(hidden_dim, hidden_dim, rng, false),
-      xo_(input_dim, hidden_dim, rng), ho_(hidden_dim, hidden_dim, rng, false),
-      xc_(input_dim, hidden_dim, rng), hc_(hidden_dim, hidden_dim, rng, false) {
-  RegisterModule(&xi_);
-  RegisterModule(&hi_);
-  RegisterModule(&xf_);
-  RegisterModule(&hf_);
-  RegisterModule(&xo_);
-  RegisterModule(&ho_);
-  RegisterModule(&xc_);
-  RegisterModule(&hc_);
-}
-
-LstmCell::State LstmCell::Forward(const Tensor& x, const State& s) const {
-  Tensor i = ops::Sigmoid(xi_.Forward(x) + hi_.Forward(s.h));
-  Tensor f = ops::Sigmoid(xf_.Forward(x) + hf_.Forward(s.h));
-  Tensor o = ops::Sigmoid(xo_.Forward(x) + ho_.Forward(s.h));
-  Tensor g = ops::Tanh(xc_.Forward(x) + hc_.Forward(s.h));
-  Tensor c = f * s.c + i * g;
-  Tensor h = o * ops::Tanh(c);
-  return {h, c};
-}
-
 StgnCell::StgnCell(int64_t input_dim, int64_t hidden_dim, Rng& rng)
     : hidden_dim_(hidden_dim),
       xi_(input_dim, hidden_dim, rng), hi_(hidden_dim, hidden_dim, rng, false),

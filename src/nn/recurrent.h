@@ -1,5 +1,5 @@
-// Recurrent cells for the RNN-family baselines: GRU (GRU4Rec), LSTM, and
-// the spatio-temporal gated STGN cell (Zhao et al., AAAI 2019).
+// Recurrent cells for the RNN-family baselines: GRU (GRU4Rec) and the
+// spatio-temporal gated LSTM cell of STGN (Zhao et al., AAAI 2019).
 
 #pragma once
 
@@ -25,25 +25,6 @@ class GruCell : public Module {
  private:
   int64_t hidden_dim_;
   Linear xr_, hr_, xz_, hz_, xn_, hn_;
-};
-
-/// Standard LSTM cell.
-class LstmCell : public Module {
- public:
-  LstmCell(int64_t input_dim, int64_t hidden_dim, Rng& rng);
-
-  struct State {
-    Tensor h;  // [1, hidden]
-    Tensor c;  // [1, hidden]
-  };
-
-  State Forward(const Tensor& x, const State& state) const;
-
-  int64_t hidden_dim() const { return hidden_dim_; }
-
- private:
-  int64_t hidden_dim_;
-  Linear xi_, hi_, xf_, hf_, xo_, ho_, xc_, hc_;
 };
 
 /// STGN cell: an LSTM augmented with two time gates and two distance gates

@@ -241,41 +241,6 @@ void SoftmaxBackwardRows(const float* y, const float* gy, float* gx,
   });
 }
 
-void LogSoftmaxRows(const float* x, float* y, int64_t rows, int64_t d) {
-  const bool use_simd = SimdEnabled();
-  ParallelRanges(rows, d, [&](int64_t r0, int64_t r1) {
-    if (use_simd) {
-      simd::LogSoftmaxRowRange(x, y, d, r0, r1);
-      return;
-    }
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* xr = x + r * d;
-      float* yr = y + r * d;
-      float mx = xr[0];
-      for (int64_t j = 1; j < d; ++j) mx = std::max(mx, xr[j]);
-      float sum = 0.0f;
-      for (int64_t j = 0; j < d; ++j) sum += std::exp(xr[j] - mx);
-      const float lse = mx + std::log(sum);
-      for (int64_t j = 0; j < d; ++j) yr[j] = xr[j] - lse;
-    }
-  });
-}
-
-void LogSoftmaxBackwardRows(const float* y, const float* gy, float* gx,
-                            int64_t rows, int64_t d) {
-  ParallelRanges(rows, d, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* yr = y + r * d;
-      const float* gr = gy + r * d;
-      float gsum = 0.0f;
-      for (int64_t j = 0; j < d; ++j) gsum += gr[j];
-      float* gxr = gx + r * d;
-      for (int64_t j = 0; j < d; ++j)
-        gxr[j] += gr[j] - std::exp(yr[j]) * gsum;
-    }
-  });
-}
-
 void LayerNormRows(const float* x, const float* gamma, const float* beta,
                    float* y, float* mu, float* inv_sigma, int64_t rows,
                    int64_t d, float eps) {
@@ -493,19 +458,6 @@ void FusedAttentionBackward(const float* q, const float* k, const float* v,
       }
     });
   }
-}
-
-void TransposeMats(const float* in, float* out, int64_t mats, int64_t rows,
-                   int64_t cols) {
-  ParallelRanges(mats, rows * cols, [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      const float* src = in + t * rows * cols;
-      float* dst = out + t * rows * cols;
-      for (int64_t i = 0; i < rows; ++i)
-        for (int64_t j = 0; j < cols; ++j)
-          dst[j * rows + i] = src[i * cols + j];
-    }
-  });
 }
 
 }  // namespace stisan::kernels

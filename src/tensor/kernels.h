@@ -44,14 +44,14 @@ void SetNumThreads(int64_t threads);
 
 // ---- SIMD backend selection ------------------------------------------------
 //
-// The forward hot kernels (Gemm, BatchedGemm, SoftmaxRows, LogSoftmaxRows,
-// LayerNormRows, FusedAttentionForward) have explicitly vectorized
-// implementations in kernels_simd.cc (AVX2+FMA via runtime CPU detection on
-// x86-64; every other CPU runs the scalar kernels). They are ON by default
-// when the CPU supports them; STISAN_SIMD=0 is the kill switch. Backward
-// kernels always run the scalar reference — the scalar path stays the
-// bit-exactness baseline for training and gradcheck, and the golden-metrics
-// harness pins it explicitly.
+// The forward hot kernels (Gemm, BatchedGemm, SoftmaxRows, LayerNormRows,
+// FusedAttentionForward) have explicitly vectorized implementations in
+// kernels_simd.cc (AVX2+FMA via runtime CPU detection on x86-64; every
+// other CPU runs the scalar kernels). They are ON by default when the CPU
+// supports them; STISAN_SIMD=0 is the kill switch. Backward kernels always
+// run the scalar reference — the scalar path stays the bit-exactness
+// baseline for training and gradcheck, and the golden-metrics harness pins
+// it explicitly.
 //
 // The vector kernels keep the determinism contract above (each output
 // element's reduction order depends only on the reduction length, never on
@@ -100,13 +100,6 @@ void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t d);
 void SoftmaxBackwardRows(const float* y, const float* gy, float* gx,
                          int64_t rows, int64_t d);
 
-/// Row-wise log-softmax.
-void LogSoftmaxRows(const float* x, float* y, int64_t rows, int64_t d);
-
-/// Accumulates the log-softmax backward into gx (y holds log-probs).
-void LogSoftmaxBackwardRows(const float* y, const float* gy, float* gx,
-                            int64_t rows, int64_t d);
-
 /// Fused layer norm forward; also writes per-row mean and inverse stddev
 /// (needed by the backward pass).
 void LayerNormRows(const float* x, const float* gamma, const float* beta,
@@ -117,10 +110,6 @@ void LayerNormRows(const float* x, const float* gamma, const float* beta,
 /// padding_idx (pass a negative padding_idx to disable).
 void GatherRows(const float* w, const int64_t* ids, float* out, int64_t n,
                 int64_t d, int64_t padding_idx);
-
-/// out[t] = transpose of the t-th [rows, cols] matrix in `in`.
-void TransposeMats(const float* in, float* out, int64_t mats, int64_t rows,
-                   int64_t cols);
 
 // ---- Fused attention -------------------------------------------------------
 //

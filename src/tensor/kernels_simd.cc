@@ -72,15 +72,6 @@ void RowSoftmaxScalar(const float* x, float* y, int64_t d) {
   for (int64_t j = 0; j < d; ++j) y[j] *= inv;
 }
 
-void LogSoftmaxRowScalar(const float* x, float* y, int64_t d) {
-  float mx = x[0];
-  for (int64_t j = 1; j < d; ++j) mx = std::max(mx, x[j]);
-  float sum = 0.0f;
-  for (int64_t j = 0; j < d; ++j) sum += std::exp(x[j] - mx);
-  const float lse = mx + std::log(sum);
-  for (int64_t j = 0; j < d; ++j) y[j] = x[j] - lse;
-}
-
 void LayerNormRowScalar(const float* xr, const float* gamma, const float* beta,
                         float* yr, float* mu, float* is_out, int64_t d,
                         float eps) {
@@ -307,30 +298,6 @@ STISAN_AVX2 void RowSoftmaxAvx2(const float* x, float* y, int64_t d) {
   for (; j < d; ++j) y[j] *= inv;
 }
 
-STISAN_AVX2 void LogSoftmaxRowAvx2(const float* x, float* y, int64_t d) {
-  if (d < 8) {
-    LogSoftmaxRowScalar(x, y, d);
-    return;
-  }
-  __m256 vmx = _mm256_loadu_ps(x);
-  int64_t j = 8;
-  for (; j + 8 <= d; j += 8) vmx = _mm256_max_ps(vmx, _mm256_loadu_ps(x + j));
-  float mx = ReduceMax(vmx);
-  for (; j < d; ++j) mx = std::max(mx, x[j]);
-  const __m256 vm = _mm256_set1_ps(mx);
-  __m256 vsum = _mm256_setzero_ps();
-  for (j = 0; j + 8 <= d; j += 8)
-    vsum = _mm256_add_ps(
-        vsum, Exp256(_mm256_sub_ps(_mm256_loadu_ps(x + j), vm)));
-  float sum = ReduceAdd(vsum);
-  for (; j < d; ++j) sum += std::exp(x[j] - mx);
-  const float lse = mx + std::log(sum);
-  const __m256 vlse = _mm256_set1_ps(lse);
-  for (j = 0; j + 8 <= d; j += 8)
-    _mm256_storeu_ps(y + j, _mm256_sub_ps(_mm256_loadu_ps(x + j), vlse));
-  for (; j < d; ++j) y[j] = x[j] - lse;
-}
-
 STISAN_AVX2 void LayerNormRowAvx2(const float* xr, const float* gamma,
                                   const float* beta, float* yr, float* mu,
                                   float* is_out, int64_t d, float eps) {
@@ -445,19 +412,6 @@ void SoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
     }
 #endif
     RowSoftmaxScalar(x + r * d, y + r * d, d);
-  }
-}
-
-void LogSoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
-                        int64_t r1) {
-  for (int64_t r = r0; r < r1; ++r) {
-#if STISAN_SIMD_X86
-    if (HasAvx2()) {
-      LogSoftmaxRowAvx2(x + r * d, y + r * d, d);
-      continue;
-    }
-#endif
-    LogSoftmaxRowScalar(x + r * d, y + r * d, d);
   }
 }
 

@@ -43,10 +43,6 @@ void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
 void SoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
                      int64_t r1);
 
-/// y[r,:] = log-softmax(x[r,:]) for r in [r0, r1).
-void LogSoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
-                        int64_t r1);
-
 /// Layer norm rows [r0, r1); writes y plus per-row mu / inv_sigma.
 void LayerNormRowRange(const float* x, const float* gamma, const float* beta,
                        float* y, float* mu, float* inv_sigma, int64_t d,

@@ -320,13 +320,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       [](float g, float x, float, float) { return g * x; });
 }
 
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOp(
-      a, b, [](float x, float y) { return x / y; },
-      [](float g, float, float y, float) { return g / y; },
-      [](float g, float x, float y, float) { return -g * x / (y * y); });
-}
-
 // ---- Scalar ----------------------------------------------------------------------
 
 Tensor AddScalar(const Tensor& a, float s) {
@@ -367,79 +360,10 @@ Tensor Tanh(const Tensor& a) {
       [](float g, float, float y) { return g * (1.0f - y * y); });
 }
 
-Tensor Exp(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::exp(x); },
-      [](float g, float, float y) { return g * y; });
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::log(std::max(x, 1e-12f)); },
-      [](float g, float x, float) { return g / std::max(x, 1e-12f); });
-}
-
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::sqrt(x); },
-      [](float g, float, float y) { return 0.5f * g / std::max(y, 1e-12f); });
-}
-
 Tensor Square(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return x * x; },
       [](float g, float x, float) { return 2.0f * g * x; });
-}
-
-Tensor Sin(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::sin(x); },
-      [](float g, float x, float) { return g * std::cos(x); });
-}
-
-Tensor Cos(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::cos(x); },
-      [](float g, float x, float) { return -g * std::sin(x); });
-}
-
-Tensor Softplus(const Tensor& a) {
-  return UnaryOp(
-      a,
-      [](float x) {
-        // log(1 + e^x) = max(x, 0) + log1p(e^{-|x|})
-        return std::max(x, 0.0f) + std::log1p(std::exp(-std::fabs(x)));
-      },
-      [](float g, float x, float) {
-        const float s = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                                  : std::exp(x) / (1.0f + std::exp(x));
-        return g * s;
-      });
-}
-
-Tensor Abs(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::fabs(x); },
-      [](float g, float x, float) {
-        return x > 0.0f ? g : (x < 0.0f ? -g : 0.0f);
-      });
-}
-
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  STISAN_CHECK_LE(lo, hi);
-  return UnaryOp(
-      a, [lo, hi](float x) { return std::min(hi, std::max(lo, x)); },
-      [lo, hi](float g, float x, float) {
-        return (x >= lo && x <= hi) ? g : 0.0f;
-      });
-}
-
-Tensor PowScalar(const Tensor& a, float exponent) {
-  return UnaryOp(
-      a, [exponent](float x) { return std::pow(x, exponent); },
-      [exponent](float g, float x, float) {
-        return g * exponent * std::pow(x, exponent - 1.0f);
-      });
 }
 
 Tensor LogSigmoid(const Tensor& a) {
@@ -766,10 +690,6 @@ Tensor Sum(const Tensor& a_in) {
   return out;
 }
 
-Tensor Mean(const Tensor& a) {
-  return MulScalar(Sum(a), 1.0f / static_cast<float>(a.numel()));
-}
-
 Tensor SumDim(const Tensor& a_in, int64_t dim, bool keepdim) {
   STISAN_CHECK(a_in.defined());
   const Tensor a = Contiguous(a_in);
@@ -871,20 +791,6 @@ Tensor MaxDim(const Tensor& a_in, int64_t dim, bool keepdim) {
   return out;
 }
 
-Tensor MinDim(const Tensor& a, int64_t dim, bool keepdim) {
-  // min(x) = -max(-x); reuse MaxDim's argmax routing.
-  return Neg(MaxDim(Neg(a), dim, keepdim));
-}
-
-Tensor MeanDim(const Tensor& a, int64_t dim, bool keepdim) {
-  const Shape& s = a.shape();
-  int64_t d = dim < 0 ? dim + static_cast<int64_t>(s.size()) : dim;
-  STISAN_CHECK_GE(d, 0);
-  STISAN_CHECK_LT(d, static_cast<int64_t>(s.size()));
-  return MulScalar(SumDim(a, dim, keepdim),
-                   1.0f / static_cast<float>(s[static_cast<size_t>(d)]));
-}
-
 // ---- Neural-net specific ----------------------------------------------------------------
 
 Tensor Softmax(const Tensor& a_in) {
@@ -901,23 +807,6 @@ Tensor Softmax(const Tensor& a_in) {
                                  d);
   });
   kernels::SoftmaxRows(a.data(), out.data(), rows, d);
-  return out;
-}
-
-Tensor LogSoftmax(const Tensor& a_in) {
-  STISAN_CHECK(a_in.defined());
-  const Tensor a = Contiguous(a_in);
-  const int64_t d = a.shape().back();
-  const int64_t rows = a.numel() / d;
-  auto ai = a.impl();
-  Tensor out = MakeNode(
-      a.shape(), {ai}, [ai, rows, d](TensorImpl& self) {
-    if (!ai->requires_grad) return;
-    ai->EnsureGrad();
-    kernels::LogSoftmaxBackwardRows(self.Data(), self.Grad(), ai->Grad(),
-                                    rows, d);
-  });
-  kernels::LogSoftmaxRows(a.data(), out.data(), rows, d);
   return out;
 }
 
@@ -1306,7 +1195,6 @@ Tensor Tensor::Contiguous() const { return ops::Contiguous(*this); }
 Tensor operator+(const Tensor& a, const Tensor& b) { return ops::Add(a, b); }
 Tensor operator-(const Tensor& a, const Tensor& b) { return ops::Sub(a, b); }
 Tensor operator*(const Tensor& a, const Tensor& b) { return ops::Mul(a, b); }
-Tensor operator/(const Tensor& a, const Tensor& b) { return ops::Div(a, b); }
 Tensor operator+(const Tensor& a, float s) { return ops::AddScalar(a, s); }
 Tensor operator*(const Tensor& a, float s) { return ops::MulScalar(a, s); }
 Tensor operator-(const Tensor& a) { return ops::Neg(a); }

@@ -22,7 +22,6 @@ namespace ops {
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
 
 // ---- Scalar --------------------------------------------------------------
 
@@ -35,25 +34,7 @@ Tensor Neg(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
-Tensor Exp(const Tensor& a);
-/// Natural log. Inputs are clamped to >= 1e-12 for stability.
-Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Square(const Tensor& a);
-Tensor Sin(const Tensor& a);
-Tensor Cos(const Tensor& a);
-/// Numerically stable log(1 + exp(x)).
-Tensor Softplus(const Tensor& a);
-
-/// Absolute value. The gradient at 0 is taken as 0.
-Tensor Abs(const Tensor& a);
-
-/// Clamps values to [lo, hi]; gradient is 1 inside, 0 outside.
-Tensor Clamp(const Tensor& a, float lo, float hi);
-
-/// Elementwise power with a scalar exponent. For non-integer exponents the
-/// inputs must be positive.
-Tensor PowScalar(const Tensor& a, float exponent);
 
 // ---- Matrix ---------------------------------------------------------------
 
@@ -98,28 +79,16 @@ Tensor Unfold1D(const Tensor& a, int64_t window);
 /// Sum of all elements -> scalar [1].
 Tensor Sum(const Tensor& a);
 
-/// Mean of all elements -> scalar [1].
-Tensor Mean(const Tensor& a);
-
 /// Sum over one dimension. keepdim retains a size-1 dim.
 Tensor SumDim(const Tensor& a, int64_t dim, bool keepdim = false);
 
 /// Max over one dimension (gradient routes to the argmax).
 Tensor MaxDim(const Tensor& a, int64_t dim, bool keepdim = false);
 
-/// Min over one dimension (gradient routes to the argmin).
-Tensor MinDim(const Tensor& a, int64_t dim, bool keepdim = false);
-
-/// Mean over one dimension.
-Tensor MeanDim(const Tensor& a, int64_t dim, bool keepdim = false);
-
 // ---- Neural-net specific -------------------------------------------------------
 
 /// Softmax over the last dimension.
 Tensor Softmax(const Tensor& a);
-
-/// Log-softmax over the last dimension (numerically stable).
-Tensor LogSoftmax(const Tensor& a);
 
 /// Fused layer normalisation over the last dimension:
 ///   y = gamma * (x - mu) / sqrt(var + eps) + beta
@@ -196,7 +165,6 @@ Tensor LogSigmoid(const Tensor& a);
 Tensor operator+(const Tensor& a, const Tensor& b);
 Tensor operator-(const Tensor& a, const Tensor& b);
 Tensor operator*(const Tensor& a, const Tensor& b);
-Tensor operator/(const Tensor& a, const Tensor& b);
 Tensor operator+(const Tensor& a, float s);
 Tensor operator*(const Tensor& a, float s);
 Tensor operator-(const Tensor& a);

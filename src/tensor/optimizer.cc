@@ -6,11 +6,21 @@
 
 namespace stisan {
 
-void Optimizer::ZeroGrad() {
+Adam::Adam(std::vector<Tensor> params, Options options)
+    : params_(std::move(params)), options_(options) {
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
+  for (auto& p : params_) {
+    m_.emplace_back(static_cast<size_t>(p.numel()), 0.0f);
+    v_.emplace_back(static_cast<size_t>(p.numel()), 0.0f);
+  }
+}
+
+void Adam::ZeroGrad() {
   for (auto& p : params_) p.ZeroGrad();
 }
 
-float Optimizer::ClipGradNorm(float max_norm) {
+float Adam::ClipGradNorm(float max_norm) {
   double total = 0.0;
   for (auto& p : params_) {
     if (!p.has_grad()) continue;
@@ -27,43 +37,6 @@ float Optimizer::ClipGradNorm(float max_norm) {
     }
   }
   return norm;
-}
-
-Sgd::Sgd(std::vector<Tensor> params, Options options)
-    : Optimizer(std::move(params)), options_(options) {
-  if (options_.momentum != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (auto& p : params_)
-      velocity_.emplace_back(static_cast<size_t>(p.numel()), 0.0f);
-  }
-}
-
-void Sgd::Step() {
-  for (size_t k = 0; k < params_.size(); ++k) {
-    Tensor& p = params_[k];
-    if (!p.has_grad()) continue;
-    float* w = p.data();
-    const float* g = p.grad_data();
-    for (int64_t i = 0; i < p.numel(); ++i) {
-      float grad = g[i] + options_.weight_decay * w[i];
-      if (options_.momentum != 0.0f) {
-        float& vel = velocity_[k][static_cast<size_t>(i)];
-        vel = options_.momentum * vel + grad;
-        grad = vel;
-      }
-      w[i] -= options_.lr * grad;
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, Options options)
-    : Optimizer(std::move(params)), options_(options) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (auto& p : params_) {
-    m_.emplace_back(static_cast<size_t>(p.numel()), 0.0f);
-    v_.emplace_back(static_cast<size_t>(p.numel()), 0.0f);
-  }
 }
 
 void Adam::RestoreState(int64_t step_count, std::vector<std::vector<float>> m,

@@ -1,4 +1,4 @@
-// Gradient-descent optimizers over flat parameter lists.
+// The Adam optimizer over a flat parameter list.
 
 #pragma once
 
@@ -8,55 +8,11 @@
 
 namespace stisan {
 
-/// Base class: owns references to trainable tensors and updates them in
-/// place from their .grad buffers.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update step using current gradients.
-  virtual void Step() = 0;
-
-  /// Overrides the learning rate (used by LR schedules).
-  virtual void SetLr(float lr) = 0;
-  virtual float lr() const = 0;
-
-  /// Zero-fills every parameter gradient.
-  void ZeroGrad();
-
-  /// Rescales gradients so their global L2 norm is at most `max_norm`.
-  /// Returns the pre-clip norm.
-  float ClipGradNorm(float max_norm);
-
-  const std::vector<Tensor>& params() const { return params_; }
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  struct Options {
-    float lr = 0.01f;
-    float momentum = 0.0f;
-    float weight_decay = 0.0f;
-  };
-
-  Sgd(std::vector<Tensor> params, Options options);
-  void Step() override;
-  void SetLr(float lr) override { options_.lr = lr; }
-  float lr() const override { return options_.lr; }
-
- private:
-  Options options_;
-  std::vector<std::vector<float>> velocity_;
-};
-
 /// Adam (Kingma & Ba, 2015) with decoupled-free classic L2 weight decay,
 /// matching torch.optim.Adam defaults used by the paper's PyTorch code.
-class Adam : public Optimizer {
+/// Holds references to the trainable tensors and updates them in place
+/// from their .grad buffers.
+class Adam {
  public:
   struct Options {
     float lr = 0.001f;
@@ -67,9 +23,16 @@ class Adam : public Optimizer {
   };
 
   Adam(std::vector<Tensor> params, Options options);
-  void Step() override;
-  void SetLr(float lr) override { options_.lr = lr; }
-  float lr() const override { return options_.lr; }
+
+  /// Applies one update step using current gradients.
+  void Step();
+
+  /// Zero-fills every parameter gradient.
+  void ZeroGrad();
+
+  /// Rescales gradients so their global L2 norm is at most `max_norm`.
+  /// Returns the pre-clip norm.
+  float ClipGradNorm(float max_norm);
 
   /// Optimizer state for checkpointing: step count and per-parameter
   /// first/second moments, in parameter registration order.
@@ -83,6 +46,7 @@ class Adam : public Optimizer {
                     std::vector<std::vector<float>> v);
 
  private:
+  std::vector<Tensor> params_;
   Options options_;
   int64_t t_ = 0;
   std::vector<std::vector<float>> m_;

@@ -44,15 +44,10 @@ struct TrainConfig {
   /// reduce gradient noise markedly at this data scale.
   int64_t batch_size = 8;
   float lr = 0.001f;          // paper: 0.001
-  float dropout = 0.2f;       // paper: 0.7 at paper scale; lower at CPU scale
   int64_t num_negatives = 15; // paper: L = 15
   float temperature = 1.0f;   // paper: T in {1, 100, 500} per dataset
   int64_t knn_neighborhood = 200;  // paper: 2000 nearest (scaled down)
   float grad_clip = 5.0f;
-  /// Cosine-decay the learning rate to lr * 0.1 over the training run
-  /// (with a short warmup). Default off: the paper trains with a constant
-  /// Adam learning rate.
-  bool cosine_decay = false;
   uint64_t seed = 7;
   bool verbose = false;
   /// Optional cap on the number of training windows per epoch (0 = all);

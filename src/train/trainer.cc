@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "tensor/ops.h"
-#include "train/lr_schedule.h"
 #include "train/signal.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -22,14 +21,14 @@ namespace {
 /// passive: gauges/counters record what already happened; nothing is read
 /// back into the training computation.
 void EmitEpochMetrics(const TrainConfig& cfg, int64_t completed_epochs,
-                      float loss, float lr, int64_t nonfinite_skipped) {
+                      float loss, int64_t nonfinite_skipped) {
   static obs::Counter& epochs = obs::GetCounter("train/epochs_completed");
   static obs::Gauge& loss_gauge = obs::GetGauge("train/loss");
   static obs::Gauge& lr_gauge = obs::GetGauge("train/lr");
   static obs::Gauge& nonfinite = obs::GetGauge("train/nonfinite_skipped");
   epochs.Inc();
   loss_gauge.Set(loss);
-  lr_gauge.Set(lr);
+  lr_gauge.Set(cfg.lr);
   nonfinite.Set(double(nonfinite_skipped));
   const bool due = cfg.metrics_every > 0 &&
                    completed_epochs % cfg.metrics_every == 0;
@@ -108,17 +107,6 @@ TrainResult Trainer::Run(size_t num_windows, const WindowLossFn& loss_fn) {
   const int64_t bsz = std::max<int64_t>(1, cfg.batch_size);
 
   Adam optimizer(params_, {.lr = cfg.lr});
-
-  // Optional cosine learning-rate decay over the whole run.
-  const int64_t windows_per_epoch =
-      cfg.max_train_windows > 0
-          ? std::min<int64_t>(cfg.max_train_windows,
-                              static_cast<int64_t>(num_windows))
-          : static_cast<int64_t>(num_windows);
-  const int64_t total_steps =
-      std::max<int64_t>(1, cfg.epochs * windows_per_epoch / bsz);
-  CosineLr schedule(cfg.lr, total_steps, cfg.lr * 0.1f,
-                    std::min<int64_t>(total_steps / 20, 50));
   int64_t opt_step = 0;
   int64_t start_epoch = 0;
   float last_epoch_loss = 0.0f;
@@ -246,7 +234,6 @@ TrainResult Trainer::Run(size_t num_windows, const WindowLossFn& loss_fn) {
           continue;
         }
         nonfinite_grads = 0;
-        if (cfg.cosine_decay) optimizer.SetLr(schedule.Lr(opt_step));
         ++opt_step;
         optimizer.Step();
         opt_steps.Inc();
@@ -281,7 +268,6 @@ TrainResult Trainer::Run(size_t num_windows, const WindowLossFn& loss_fn) {
                           : 0.0f;
     result.epochs_completed = epoch + 1;
     EmitEpochMetrics(cfg, epoch + 1, last_epoch_loss,
-                     cfg.cosine_decay ? schedule.Lr(opt_step) : cfg.lr,
                      result.nonfinite_skipped);
     const bool early_stop =
         cfg.on_epoch && !cfg.on_epoch({.epoch = epoch, .loss = last_epoch_loss});

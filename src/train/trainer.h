@@ -2,9 +2,9 @@
 //
 // Models supply a per-window loss function (their forward pass); the
 // Trainer owns everything around it: epoch/shuffle bookkeeping, gradient
-// accumulation, LR scheduling, gradient clipping, Adam stepping, non-finite
-// loss/gradient guards, graceful SIGINT/SIGTERM shutdown, and crash-safe
-// checkpoint/resume (train/checkpoint.h).
+// accumulation, gradient clipping, Adam stepping at a constant learning
+// rate, non-finite loss/gradient guards, graceful SIGINT/SIGTERM shutdown,
+// and crash-safe checkpoint/resume (train/checkpoint.h).
 //
 // Resume determinism contract: checkpoints are captured at epoch
 // boundaries (the state snapshot taken at the start of the current epoch

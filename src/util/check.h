@@ -35,19 +35,23 @@ class CheckMessageBuilder {
 
 }  // namespace stisan::internal
 
+// Each macro is a single statement (do { ... } while (0)), so it nests
+// under an unbraced `if` without a dangling `else`.
 #define STISAN_CHECK(cond)                                              \
-  if (cond) {                                                           \
-  } else                                                                \
-    ::stisan::internal::CheckFailed(                                    \
-        #cond, __FILE__, __LINE__,                                      \
-        ::stisan::internal::CheckMessageBuilder().str())
+  do {                                                                  \
+    if (!(cond))                                                        \
+      ::stisan::internal::CheckFailed(                                  \
+          #cond, __FILE__, __LINE__,                                    \
+          ::stisan::internal::CheckMessageBuilder().str());             \
+  } while (0)
 
 #define STISAN_CHECK_MSG(cond, msg)                                     \
-  if (cond) {                                                           \
-  } else                                                                \
-    ::stisan::internal::CheckFailed(                                    \
-        #cond, __FILE__, __LINE__,                                      \
-        (::stisan::internal::CheckMessageBuilder() << msg).str())
+  do {                                                                  \
+    if (!(cond))                                                        \
+      ::stisan::internal::CheckFailed(                                  \
+          #cond, __FILE__, __LINE__,                                    \
+          (::stisan::internal::CheckMessageBuilder() << msg).str());    \
+  } while (0)
 
 #define STISAN_CHECK_EQ(a, b) STISAN_CHECK_MSG((a) == (b), "(" << (a) << " vs " << (b) << ")")
 #define STISAN_CHECK_NE(a, b) STISAN_CHECK_MSG((a) != (b), "(" << (a) << " vs " << (b) << ")")

@@ -66,12 +66,6 @@ class LruCache {
     }
   }
 
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    index_.clear();
-  }
-
   size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();

@@ -26,17 +26,4 @@ Result<int64_t> ParseInt64(std::string_view s);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Joins elements with a separator using operator<< formatting.
-template <typename Container>
-std::string Join(const Container& items, std::string_view sep) {
-  std::string out;
-  bool first = true;
-  for (const auto& item : items) {
-    if (!first) out.append(sep);
-    first = false;
-    out += std::to_string(item);
-  }
-  return out;
-}
-
 }  // namespace stisan

@@ -1,5 +1,5 @@
 // Tests for the analysis additions: dataset statistics, full-ranking
-// (unsampled) evaluation, and the rank-fusion ensemble.
+// (unsampled) evaluation, and explanations.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "data/preprocess.h"
 #include "data/synthetic.h"
 #include "eval/full_ranking.h"
-#include "models/ensemble.h"
 #include "models/shallow.h"
 
 namespace stisan {
@@ -168,76 +167,6 @@ TEST(FullRankingTest, ChunkSizeDoesNotChangeResults) {
   auto b = eval::FullRankingEvaluate(scorer, split.test, ds,
                                      {.max_instances = 8, .chunk_size = 512});
   EXPECT_EQ(a.ranks(), b.ranks());
-}
-
-// ---- Ensemble -------------------------------------------------------------------------
-
-class ConstantModel : public models::SequentialRecommender {
- public:
-  explicit ConstantModel(std::vector<float> scores)
-      : scores_(std::move(scores)) {}
-  std::string name() const override { return "Constant"; }
-  void Fit(const data::Dataset&,
-           const std::vector<data::TrainWindow>&) override {
-    ++fit_calls;
-  }
-  std::vector<float> Score(const data::EvalInstance&,
-                           const std::vector<int64_t>& cands) override {
-    std::vector<float> out(cands.size());
-    for (size_t i = 0; i < cands.size(); ++i) {
-      out[i] = scores_[i % scores_.size()];
-    }
-    return out;
-  }
-  int fit_calls = 0;
-
- private:
-  std::vector<float> scores_;
-};
-
-TEST(EnsembleTest, FitsAllMembers) {
-  ConstantModel a({1, 2, 3});
-  ConstantModel b({3, 2, 1});
-  models::EnsembleModel ens({{&a, 1.0}, {&b, 1.0}});
-  data::Dataset ds;
-  ens.Fit(ds, {});
-  EXPECT_EQ(a.fit_calls, 1);
-  EXPECT_EQ(b.fit_calls, 1);
-}
-
-TEST(EnsembleTest, AgreementWins) {
-  // Members agree candidate 2 is best -> fused ranking puts it first.
-  ConstantModel a({0.1f, 0.2f, 0.9f});
-  ConstantModel b({0.2f, 0.1f, 0.8f});
-  models::EnsembleModel ens({{&a, 1.0}, {&b, 1.0}});
-  data::EvalInstance inst;
-  auto fused = ens.Score(inst, {10, 11, 12});
-  EXPECT_GT(fused[2], fused[0]);
-  EXPECT_GT(fused[2], fused[1]);
-}
-
-TEST(EnsembleTest, WeightsBreakTies) {
-  // a prefers candidate 0, b prefers candidate 1; weighting a higher must
-  // put candidate 0 on top.
-  ConstantModel a({0.9f, 0.1f});
-  ConstantModel b({0.1f, 0.9f});
-  models::EnsembleModel ens({{&a, 2.0}, {&b, 1.0}});
-  data::EvalInstance inst;
-  auto fused = ens.Score(inst, {10, 11});
-  EXPECT_GT(fused[0], fused[1]);
-}
-
-TEST(EnsembleTest, ScaleFreeFusion) {
-  // Wildly different score scales fuse identically to normalised ones
-  // (RRF uses ranks only).
-  ConstantModel small({0.001f, 0.002f, 0.003f});
-  ConstantModel huge({1000.0f, 2000.0f, 3000.0f});
-  models::EnsembleModel e1({{&small, 1.0}});
-  models::EnsembleModel e2({{&huge, 1.0}});
-  data::EvalInstance inst;
-  auto f1 = e1.Score(inst, {1, 2, 3});
-  auto f2 = e2.Score(inst, {1, 2, 3});
-  EXPECT_EQ(f1, f2);
 }
 
 // ---- Explanations ----------------------------------------------------------------

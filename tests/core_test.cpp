@@ -108,19 +108,6 @@ TEST(TapeTest, AddsNoParameters) {
   }
 }
 
-TEST(TapeTest, VanillaPeMatchesIntegerTape) {
-  Tensor x = Tensor::Zeros({4, 8});
-  Tensor vanilla = ApplyVanillaPe(x);
-  Tensor tape = ApplyTape(x, {0, 100, 200, 300});  // uniform -> pos 1,3,5,7
-  // Not equal (TAPE stretches by +1 each step) — but both are sinusoidal;
-  // check the vanilla one equals SinusoidalEncoding(1..4).
-  Tensor expect = nn::SinusoidalEncoding({1, 2, 3, 4}, 8);
-  for (int64_t i = 0; i < vanilla.numel(); ++i) {
-    EXPECT_NEAR(vanilla.data()[i], expect.data()[i], 1e-6f);
-  }
-  (void)tape;
-}
-
 // ---- Relation matrix ----------------------------------------------------------
 
 class RelationTest : public ::testing::Test {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "geo/geo.h"
-#include "geo/geohash.h"
 #include "geo/quadkey.h"
 #include "geo/spatial_index.h"
 #include "util/rng.h"
@@ -41,15 +40,16 @@ TEST(OffsetKmTest, RoundTripDistance) {
   EXPECT_NEAR(HaversineKm(origin, diag), 5.0, 0.1);
 }
 
-TEST(BoundingBoxTest, ExtendAndContains) {
+TEST(BoundingBoxTest, Extend) {
   BoundingBox box;
   EXPECT_TRUE(box.empty());
   box.Extend({10, 20});
   box.Extend({12, 18});
   EXPECT_FALSE(box.empty());
-  EXPECT_TRUE(box.Contains({11, 19}));
-  EXPECT_FALSE(box.Contains({13, 19}));
-  EXPECT_FALSE(box.Contains({11, 21}));
+  EXPECT_EQ(box.min_lat, 10);
+  EXPECT_EQ(box.max_lat, 12);
+  EXPECT_EQ(box.min_lon, 18);
+  EXPECT_EQ(box.max_lon, 20);
 }
 
 // ---- Quadkey ----------------------------------------------------------------
@@ -114,51 +114,6 @@ TEST(QuadKeyTest, NgramTokensInVocabRange) {
 TEST(QuadKeyTest, VocabSize) {
   EXPECT_EQ(QuadKeyNgramVocabSize(1), 4);
   EXPECT_EQ(QuadKeyNgramVocabSize(6), 4096);
-}
-
-// ---- Geohash ------------------------------------------------------------------
-
-TEST(GeohashTest, KnownValue) {
-  // Classic reference: (57.64911, 10.40744) -> "u4pruydqqvj".
-  EXPECT_EQ(GeohashEncode({57.64911, 10.40744}, 11), "u4pruydqqvj");
-}
-
-TEST(GeohashTest, EncodeDecodeRoundTrip) {
-  GeoPoint p{43.88123, 125.35321};
-  auto decoded = GeohashDecode(GeohashEncode(p, 9));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_NEAR(decoded->lat, p.lat, 1e-4);
-  EXPECT_NEAR(decoded->lon, p.lon, 1e-4);
-}
-
-TEST(GeohashTest, PrefixProperty) {
-  GeoPoint p{43.88, 125.35};
-  EXPECT_EQ(GeohashEncode(p, 9).substr(0, 5), GeohashEncode(p, 5));
-}
-
-TEST(GeohashTest, NearbyPointsSharePrefix) {
-  GeoPoint a{43.88, 125.35};
-  GeoPoint b = OffsetKm(a, 0.05, 0.05);
-  std::string ha = GeohashEncode(a, 9);
-  std::string hb = GeohashEncode(b, 9);
-  size_t common = 0;
-  while (common < ha.size() && ha[common] == hb[common]) ++common;
-  EXPECT_GE(common, 5u);
-}
-
-TEST(GeohashTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(GeohashDecode("").ok());
-  EXPECT_FALSE(GeohashDecode("abc!").ok());
-  EXPECT_FALSE(GeohashDecode("aiol").ok());  // i, l, o are not in base32
-}
-
-TEST(GeohashTest, CellDimensionsShrink) {
-  auto c5 = GeohashCellDimensions(5);
-  auto c7 = GeohashCellDimensions(7);
-  EXPECT_GT(c5.height_km, c7.height_km);
-  EXPECT_GT(c5.width_km, c7.width_km);
-  // Precision 5 cells are ~4.9 x 4.9 km.
-  EXPECT_NEAR(c5.height_km, 4.9, 0.5);
 }
 
 // ---- Spatial index -------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Tests for the supporting infrastructure added on top of the core
-// reproduction: checkpoint serialization, thread pool, LR schedules,
-// early stopping, and the extended evaluation metrics.
+// reproduction: checkpoint serialization, thread pool, early stopping, and
+// the extended evaluation metrics.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "eval/metrics.h"
 #include "nn/layers.h"
 #include "train/early_stopping.h"
-#include "train/lr_schedule.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
 
@@ -140,46 +139,6 @@ TEST(ThreadPoolTest, ParallelForEmptyRange) {
   bool called = false;
   ParallelFor(pool, 0, [&called](int64_t) { called = true; });
   EXPECT_FALSE(called);
-}
-
-// ---- LR schedules -----------------------------------------------------------------
-
-TEST(LrScheduleTest, ConstantIsConstant) {
-  train::ConstantLr lr(0.01f);
-  EXPECT_EQ(lr.Lr(0), 0.01f);
-  EXPECT_EQ(lr.Lr(1000000), 0.01f);
-}
-
-TEST(LrScheduleTest, WarmupRampsLinearly) {
-  train::WarmupLr lr(1.0f, 10);
-  EXPECT_NEAR(lr.Lr(0), 0.1f, 1e-6f);
-  EXPECT_NEAR(lr.Lr(4), 0.5f, 1e-6f);
-  EXPECT_EQ(lr.Lr(10), 1.0f);
-  EXPECT_EQ(lr.Lr(100), 1.0f);
-}
-
-TEST(LrScheduleTest, StepDecay) {
-  train::StepDecayLr lr(1.0f, 10, 0.5f);
-  EXPECT_EQ(lr.Lr(0), 1.0f);
-  EXPECT_EQ(lr.Lr(9), 1.0f);
-  EXPECT_EQ(lr.Lr(10), 0.5f);
-  EXPECT_EQ(lr.Lr(25), 0.25f);
-}
-
-TEST(LrScheduleTest, CosineDecaysToMin) {
-  train::CosineLr lr(1.0f, 100, 0.1f);
-  EXPECT_NEAR(lr.Lr(0), 1.0f, 1e-5f);
-  EXPECT_NEAR(lr.Lr(50), 0.55f, 1e-2f);  // halfway
-  EXPECT_NEAR(lr.Lr(100), 0.1f, 1e-5f);
-  // Monotone decreasing (no warmup).
-  for (int s = 1; s <= 100; ++s) EXPECT_LE(lr.Lr(s), lr.Lr(s - 1) + 1e-7f);
-}
-
-TEST(LrScheduleTest, CosineWithWarmup) {
-  train::CosineLr lr(1.0f, 100, 0.0f, 10);
-  EXPECT_LT(lr.Lr(0), 0.2f);
-  EXPECT_NEAR(lr.Lr(10), 1.0f, 1e-5f);
-  EXPECT_LT(lr.Lr(99), 0.01f);
 }
 
 // ---- Early stopping ------------------------------------------------------------------

@@ -170,44 +170,18 @@ TEST(AttentionTest, GradientsFlowThroughAttention) {
   EXPECT_GT(gnorm, 0.0f);
 }
 
-TEST(AttentionTest, MultiHeadShapesAndCausality) {
+TEST(AttentionTest, ForwardIsCausal) {
   Rng rng(31);
-  CausalSelfAttention att(12, 0.0f, rng, /*causal=*/true,
-                          /*identity_init_values=*/false, /*num_heads=*/3);
+  CausalSelfAttention att(12, 0.0f, rng);
   Tensor x = Tensor::Randn({5, 12}, rng);
   Tensor out = att.Forward(x, Tensor(), rng);
   EXPECT_EQ(out.shape(), (Shape{5, 12}));
-  // Causality: changing a future row must not affect an earlier output row.
+  // Changing a future row must not affect an earlier output row.
   Tensor x2 = x.Detach();
   x2.set({4, 0}, x2.at({4, 0}) + 5.0f);
   Tensor out2 = att.Forward(x2, Tensor(), rng);
   for (int c = 0; c < 12; ++c) {
     EXPECT_NEAR(out.at({0, c}), out2.at({0, c}), 1e-6f);
-  }
-}
-
-TEST(AttentionTest, MultiHeadGradientsFlow) {
-  Rng rng(32);
-  CausalSelfAttention att(8, 0.0f, rng, true, false, /*num_heads=*/2);
-  Tensor x = Tensor::Randn({4, 8}, rng, 1.0f, true);
-  Tensor out = att.Forward(x, Tensor(), rng);
-  ops::Sum(ops::Square(out)).Backward();
-  float gnorm = 0;
-  for (int64_t i = 0; i < x.numel(); ++i) gnorm += std::fabs(x.grad_data()[i]);
-  EXPECT_GT(gnorm, 0.0f);
-}
-
-TEST(AttentionTest, SingleHeadMatchesUnfactoredPath) {
-  // num_heads = 1 must reproduce the original single-head computation.
-  Rng rng_a(33), rng_b(33);
-  CausalSelfAttention a(8, 0.0f, rng_a, true, false, 1);
-  CausalSelfAttention b(8, 0.0f, rng_b, true, false, 1);
-  Rng data_rng(34);
-  Tensor x = Tensor::Randn({4, 8}, data_rng);
-  Tensor oa = a.Forward(x, Tensor(), rng_a);
-  Tensor ob = b.Forward(x, Tensor(), rng_b);
-  for (int64_t i = 0; i < oa.numel(); ++i) {
-    EXPECT_EQ(oa.data()[i], ob.data()[i]);  // identical init -> identical out
   }
 }
 
@@ -251,16 +225,6 @@ TEST(GruCellTest, CanLearnToRememberInput) {
     final_loss = loss.data()[0];
   }
   EXPECT_LT(final_loss, 0.1f);
-}
-
-TEST(LstmCellTest, Shapes) {
-  Rng rng(15);
-  LstmCell cell(4, 6, rng);
-  LstmCell::State s{Tensor::Zeros({1, 6}), Tensor::Zeros({1, 6})};
-  Tensor x = Tensor::Randn({1, 4}, rng);
-  auto s2 = cell.Forward(x, s);
-  EXPECT_EQ(s2.h.shape(), (Shape{1, 6}));
-  EXPECT_EQ(s2.c.shape(), (Shape{1, 6}));
 }
 
 TEST(StgnCellTest, IntervalsAffectState) {

@@ -45,13 +45,6 @@ TEST(GradCheck, MulBroadcastColumn) {
   EXPECT_GRADCHECK_OK([&] { return ops::Sum(a * b); }, a, b);
 }
 
-TEST(GradCheck, Div) {
-  Rng rng(7);
-  Tensor a = Tensor::Randn({2, 2}, rng, 1.0f, true);
-  Tensor b = Tensor::Rand({2, 2}, rng, 1.0f, 2.0f, true);  // away from 0
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(a / b); }, a, b);
-}
-
 TEST(GradCheck, MatMul2D) {
   Tensor a = RandomInput({3, 4}, 8);
   Tensor b = RandomInput({4, 2}, 9);
@@ -87,7 +80,6 @@ TEST(GradCheck, UnaryActivations) {
   Tensor a = RandomInput({2, 4}, 15);
   EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Sigmoid(a)); }, a);
   EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Tanh(a)); }, a);
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Softplus(a)); }, a);
   EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::LogSigmoid(a)); }, a);
 }
 
@@ -100,30 +92,10 @@ TEST(GradCheck, ReluAwayFromKink) {
   EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Relu(b)); }, b);
 }
 
-TEST(GradCheck, ExpLogSqrt) {
-  Rng rng(17);
-  Tensor a = Tensor::Rand({6}, rng, 0.5f, 2.0f, true);
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Exp(a)); }, a);
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Log(a)); }, a);
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Sqrt(a)); }, a);
-}
-
-TEST(GradCheck, SinCos) {
-  Tensor a = RandomInput({5}, 18);
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Square(ops::Sin(a))); }, a);
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Square(ops::Cos(a))); }, a);
-}
-
 TEST(GradCheck, Softmax) {
   Tensor a = RandomInput({3, 4}, 19);
   Tensor w = RandomInput({3, 4}, 20).Detach();
   EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Softmax(a) * w); }, a);
-}
-
-TEST(GradCheck, LogSoftmax) {
-  Tensor a = RandomInput({2, 5}, 21);
-  Tensor w = RandomInput({2, 5}, 22).Detach();
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::LogSoftmax(a) * w); }, a);
 }
 
 TEST(GradCheck, LayerNormAllInputs) {
@@ -172,31 +144,6 @@ TEST(GradCheck, Unfold1D) {
   Tensor a = RandomInput({5, 2}, 32);
   EXPECT_GRADCHECK_OK(
       [&] { return ops::Sum(ops::Square(ops::Unfold1D(a, 3))); }, a);
-}
-
-TEST(GradCheck, AbsClampPow) {
-  Rng rng(40);
-  Tensor a = Tensor::Rand({6}, rng, 0.5f, 2.0f, true);   // positive for Pow
-  Tensor b = Tensor::Rand({6}, rng, -2.0f, 2.0f, true);
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::PowScalar(a, 1.7f)); }, a);
-  // Abs away from the kink at 0.
-  Rng rng2(41);
-  Tensor c = Tensor::Rand({6}, rng2, 0.5f, 1.5f, true);
-  EXPECT_GRADCHECK_OK([&] { return ops::Sum(ops::Abs(c)); }, c);
-  // Clamp strictly inside / strictly outside the window.
-  Tensor inside = Tensor::Rand({5}, rng2, -0.5f, 0.5f, true);
-  EXPECT_GRADCHECK_OK(
-      [&] { return ops::Sum(ops::Square(ops::Clamp(inside, -1.0f, 1.0f))); },
-      inside);
-  (void)b;
-}
-
-TEST(GradCheck, MinAndMeanDim) {
-  Tensor a = RandomInput({3, 4}, 42);
-  EXPECT_GRADCHECK_OK(
-      [&] { return ops::Sum(ops::Square(ops::MinDim(a, 1))); }, a);
-  EXPECT_GRADCHECK_OK(
-      [&] { return ops::Sum(ops::Square(ops::MeanDim(a, 0, true))); }, a);
 }
 
 TEST(GradCheck, SumDimAndMaxDim) {

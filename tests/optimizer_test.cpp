@@ -9,7 +9,7 @@ namespace stisan {
 namespace {
 
 // Minimises f(w) = sum((w - target)^2) and checks convergence.
-float RunQuadratic(Optimizer& opt, Tensor& w, const Tensor& target,
+float RunQuadratic(Adam& opt, Tensor& w, const Tensor& target,
                    int steps) {
   float loss_val = 0.0f;
   for (int s = 0; s < steps; ++s) {
@@ -20,26 +20,6 @@ float RunQuadratic(Optimizer& opt, Tensor& w, const Tensor& target,
     loss_val = loss.data()[0];
   }
   return loss_val;
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Tensor w = Tensor::Zeros({4}, true);
-  Tensor target = Tensor::FromVector({4}, {1, -2, 3, 0.5f});
-  Sgd opt({w}, {.lr = 0.1f});
-  float loss = RunQuadratic(opt, w, target, 100);
-  EXPECT_LT(loss, 1e-6f);
-  EXPECT_NEAR(w.data()[1], -2.0f, 1e-3f);
-}
-
-TEST(SgdTest, MomentumAccelerates) {
-  Tensor w1 = Tensor::Zeros({4}, true);
-  Tensor w2 = Tensor::Zeros({4}, true);
-  Tensor target = Tensor::FromVector({4}, {1, -2, 3, 0.5f});
-  Sgd plain({w1}, {.lr = 0.01f});
-  Sgd mom({w2}, {.lr = 0.01f, .momentum = 0.9f});
-  float loss_plain = RunQuadratic(plain, w1, target, 30);
-  float loss_mom = RunQuadratic(mom, w2, target, 30);
-  EXPECT_LT(loss_mom, loss_plain);
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
@@ -63,7 +43,7 @@ TEST(AdamTest, WeightDecayShrinksWeights) {
 
 TEST(OptimizerTest, ZeroGradClears) {
   Tensor w = Tensor::Ones({2}, true);
-  Sgd opt({w}, {.lr = 0.1f});
+  Adam opt({w}, {.lr = 0.1f});
   Tensor loss = ops::Sum(w * w);
   loss.Backward();
   EXPECT_NE(w.grad_data()[0], 0.0f);
@@ -73,7 +53,7 @@ TEST(OptimizerTest, ZeroGradClears) {
 
 TEST(OptimizerTest, ClipGradNorm) {
   Tensor w = Tensor::Ones({2}, true);
-  Sgd opt({w}, {.lr = 0.1f});
+  Adam opt({w}, {.lr = 0.1f});
   opt.ZeroGrad();
   w.mutable_grad_data()[0] = 3.0f;
   w.mutable_grad_data()[1] = 4.0f;  // norm 5
@@ -85,7 +65,7 @@ TEST(OptimizerTest, ClipGradNorm) {
 
 TEST(OptimizerTest, ClipNoOpBelowThreshold) {
   Tensor w = Tensor::Ones({1}, true);
-  Sgd opt({w}, {.lr = 0.1f});
+  Adam opt({w}, {.lr = 0.1f});
   opt.ZeroGrad();
   w.mutable_grad_data()[0] = 0.5f;
   opt.ClipGradNorm(1.0f);

@@ -308,25 +308,6 @@ TEST(CandidateGenTest, BatchMatchesPerQueryAndIsThreadCountIndependent) {
   }
 }
 
-TEST(CandidateGenTest, RadiusModeFiltersAndMatchesIndex) {
-  Rng rng(23);
-  const auto pts = MakePoints(3, rng);
-  SpatialGridIndex index(pts, 1.5);
-  geo::CandidatePoolOptions options;
-  options.radius_km = 25.0;
-  geo::CandidateGenerator gen(index, options);
-  SpatialGridIndex::QueryScratch scratch;
-  std::vector<int64_t> pool;
-  const GeoPoint q = pts[3];
-  gen.Generate(q, [](int64_t id) { return id % 2 == 0; }, &scratch, &pool);
-  const auto reference = index.WithinRadius(q, 25.0);
-  std::vector<int64_t> expected;
-  for (int64_t id : reference) {
-    if (id % 2 == 0) expected.push_back(id);
-  }
-  EXPECT_EQ(pool, expected);
-}
-
 // ---- Full / pruned ranking ----------------------------------------------------
 
 class RankingEvalTest : public ::testing::Test {

@@ -160,23 +160,6 @@ TEST(SimdSoftmax, RowsAgreeIncludingMaskedLogits) {
   }
 }
 
-TEST(SimdLogSoftmax, RowsAgree) {
-  for (int64_t d : {1, 5, 8, 50, 64, 100}) {
-    const int64_t rows = 4;
-    const auto x = RandomVec(static_cast<size_t>(rows * d), 60 + d, 2.0f);
-    std::vector<float> ys(x.size()), yv(x.size());
-    {
-      ScopedSimd guard(0);
-      kernels::LogSoftmaxRows(x.data(), ys.data(), rows, d);
-    }
-    {
-      ScopedSimd guard(1);
-      kernels::LogSoftmaxRows(x.data(), yv.data(), rows, d);
-    }
-    ExpectClose(yv, ys, 1e-5f, 1e-4f, "logsoftmax d=" + std::to_string(d));
-  }
-}
-
 TEST(SimdLayerNorm, RowsAndStatsAgree) {
   for (int64_t d : {2, 8, 16, 50, 64}) {
     const int64_t rows = 5;

@@ -1,8 +1,7 @@
 // Tests for the reusable train::Trainer: non-finite loss/gradient guards,
 // graceful stop requests, checkpoint/resume determinism on a small
-// synthetic problem, and serialization of the LR schedule and
-// early-stopping monitor (same LR sequence / stop decisions after a
-// round-trip).
+// synthetic problem, and serialization of the early-stopping monitor (same
+// stop decisions after a round-trip).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 
 #include "tensor/ops.h"
 #include "train/early_stopping.h"
-#include "train/lr_schedule.h"
 #include "train/signal.h"
 #include "train/trainer.h"
 #include "util/io_env.h"
@@ -67,7 +65,6 @@ TrainConfig SmallConfig() {
   cfg.epochs = 4;
   cfg.batch_size = 3;
   cfg.lr = 0.05f;
-  cfg.cosine_decay = true;
   return cfg;
 }
 
@@ -219,38 +216,7 @@ TEST_F(TrainerTest, ResumeIntoMismatchedShapesFails) {
   RemoveDirRecursive(dir);
 }
 
-// ---- LR schedule / early stopping serialization (satellite) ----------------
-
-TEST(CosineLrSerializationTest, RestoredScheduleProducesSameLrSequence) {
-  CosineLr original(0.01f, 500, 0.001f, 25);
-  std::string buffer;
-  BinaryWriter w(&buffer);
-  original.Save(w);
-  ASSERT_TRUE(w.ok());
-
-  CosineLr restored(1.0f, 1);  // deliberately different before Load
-  BinaryReader r = BinaryReader::FromBuffer(buffer);
-  ASSERT_TRUE(restored.Load(r).ok());
-  for (int64_t step = 0; step < 600; step += 7) {
-    EXPECT_EQ(original.Lr(step), restored.Lr(step)) << "step " << step;
-  }
-}
-
-TEST(CosineLrSerializationTest, CorruptStateRejected) {
-  std::string buffer;
-  BinaryWriter w(&buffer);
-  w.WriteF32(0.01f);
-  w.WriteI64(-5);  // total_steps must be positive
-  w.WriteF32(0.001f);
-  w.WriteI64(0);
-  CosineLr schedule(0.5f, 10);
-  BinaryReader r = BinaryReader::FromBuffer(buffer);
-  EXPECT_FALSE(schedule.Load(r).ok());
-  EXPECT_EQ(schedule.Lr(0), 0.5f);  // unchanged on failure
-
-  BinaryReader empty = BinaryReader::FromBuffer("");
-  EXPECT_FALSE(schedule.Load(empty).ok());
-}
+// ---- Early stopping serialization -------------------------------------------
 
 TEST(EarlyStoppingSerializationTest, RestoredMonitorMakesSameDecisions) {
   const std::vector<double> metrics = {0.10, 0.15, 0.15, 0.151,

@@ -14,7 +14,8 @@
 //
 // The model configuration (dims, blocks, thresholds) must match between
 // train and evaluate/recommend; it is controlled by the same flags and
-// defaults in both.
+// defaults in both. A flag the command does not read, or a value that does
+// not parse as the number its flag takes, exits 2 before any work is done.
 
 #include <algorithm>
 #include <cstdio>
@@ -38,6 +39,8 @@ using namespace stisan;
 
 namespace {
 
+// Flag values are checked against the command's FlagSpec before the
+// command runs, so the numeric getters parse values known to be valid.
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -48,14 +51,67 @@ struct Args {
   }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
-    return it != flags.end() ? std::atof(it->second.c_str()) : fallback;
+    return it != flags.end() ? *ParseDouble(it->second) : fallback;
   }
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     auto it = flags.find(key);
-    return it != flags.end() ? std::atoll(it->second.c_str()) : fallback;
+    return it != flags.end() ? *ParseInt64(it->second) : fallback;
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
 };
+
+enum class FlagKind { kText, kInt, kReal };
+using FlagSpec = std::map<std::string, FlagKind>;
+
+// The flags each command reads. Returns nullptr for an unknown command.
+const FlagSpec* CommandFlags(const std::string& command) {
+  using enum FlagKind;
+  // Data, window and model flags shared by train, evaluate and recommend.
+  static const FlagSpec model = {
+      {"data", kText},       {"ckpt", kText},      {"seq-len", kInt},
+      {"min-user", kInt},    {"min-poi", kInt},    {"poi-dim", kInt},
+      {"geo-dim", kInt},     {"fourier-dim", kInt}, {"blocks", kInt},
+      {"dropout", kReal},    {"kt-days", kReal},   {"kd-km", kReal},
+      {"epochs", kInt},      {"lr", kReal},        {"negatives", kInt},
+      {"temperature", kReal}, {"knn", kInt},       {"seed", kInt},
+      {"verbose", kInt}};
+  auto with = [](FlagSpec spec, const FlagSpec& extra) {
+    spec.insert(extra.begin(), extra.end());
+    return spec;
+  };
+  static const std::map<std::string, FlagSpec> commands = {
+      {"generate",
+       {{"out", kText}, {"preset", kText}, {"scale", kReal}, {"seed", kInt}}},
+      {"train", with(model, {{"ckpt-every", kInt},
+                             {"keep-ckpts", kInt},
+                             {"resume", kInt},
+                             {"metrics-json", kText},
+                             {"metrics-every", kInt}})},
+      {"evaluate",
+       with(model, {{"eval-batch", kInt}, {"metrics-json", kText}})},
+      {"recommend", with(model, {{"user", kInt}, {"k", kInt}})},
+      {"help", {}},
+      {"--help", {}}};
+  auto it = commands.find(command);
+  return it != commands.end() ? &it->second : nullptr;
+}
+
+Status CheckFlags(const Args& args, const FlagSpec& spec) {
+  for (const auto& [name, value] : args.flags) {
+    auto it = spec.find(name);
+    if (it == spec.end()) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
+    bool parses = true;
+    if (it->second == FlagKind::kInt) parses = ParseInt64(value).ok();
+    if (it->second == FlagKind::kReal) parses = ParseDouble(value).ok();
+    if (!parses) {
+      return Status::InvalidArgument("bad value for --" + name + ": '" +
+                                     value + "'");
+    }
+  }
+  return Status::OK();
+}
 
 Result<Args> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
@@ -81,19 +137,22 @@ void PrintUsage() {
       "commands:\n"
       "  generate   --out FILE [--preset gowalla|brightkite|weeplaces|\n"
       "             changchun] [--scale F] [--seed N]\n"
-      "  train      --data FILE --ckpt FILE [--epochs N] [--seq-len N]\n"
-      "             [--poi-dim N] [--geo-dim N] [--blocks N] [--lr F]\n"
-      "             [--negatives N] [--temperature F] [--kt-days F]\n"
-      "             [--kd-km F] [--min-user N] [--min-poi N] [--verbose 1]\n"
+      "  train      --data FILE --ckpt FILE [model flags]\n"
       "             [--ckpt-every N] [--keep-ckpts K] [--resume 1]\n"
       "             (--ckpt-every enables crash-safe epoch checkpoints in\n"
       "              FILE.d; --resume continues from the newest valid one;\n"
       "              SIGINT/SIGTERM checkpoint gracefully and exit 130)\n"
       "             [--metrics-json FILE] [--metrics-every N]\n"
-      "  evaluate   --data FILE --ckpt FILE [same model flags as train]\n"
+      "  evaluate   --data FILE --ckpt FILE [model flags] [--eval-batch N]\n"
       "             [--metrics-json FILE]\n"
-      "  recommend  --data FILE --ckpt FILE --user N [--k N]\n"
-      "             [same model flags as train]\n\n"
+      "  recommend  --data FILE --ckpt FILE --user N [--k N] [model flags]\n\n"
+      "model flags (the same in train, evaluate and recommend):\n"
+      "  [--epochs N] [--seq-len N] [--poi-dim N] [--geo-dim N]\n"
+      "  [--fourier-dim N] [--blocks N] [--dropout F] [--lr F]\n"
+      "  [--negatives N] [--temperature F] [--knn N] [--kt-days F]\n"
+      "  [--kd-km F] [--seed N] [--min-user N] [--min-poi N] [--verbose 1]\n\n"
+      "A flag the command does not read, or a value that does not parse as\n"
+      "the number its flag takes, exits 2.\n\n"
       "observability: --metrics-json writes the obs-registry snapshot\n"
       "  (counters, gauges, timing histograms) as sorted JSON, atomically\n"
       "  via temp+rename. --metrics-every N also snapshots every N epochs\n"
@@ -119,8 +178,6 @@ core::StisanOptions ModelOptions(const Args& args) {
   opts.train.knn_neighborhood = args.GetInt("knn", 100);
   opts.train.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
   opts.train.verbose = args.GetInt("verbose", 0) != 0;
-  opts.train.metrics_json = args.Get("metrics-json", "");
-  opts.train.metrics_every = args.GetInt("metrics-every", 0);
   return opts;
 }
 
@@ -219,6 +276,8 @@ int Train(const Args& args) {
               split.train.size(), split.test.size());
 
   core::StisanOptions opts = ModelOptions(args);
+  opts.train.metrics_json = args.Get("metrics-json", "");
+  opts.train.metrics_every = args.GetInt("metrics-every", 0);
   const int64_t ckpt_every = args.GetInt("ckpt-every", 0);
   const bool resume = args.GetInt("resume", 0) != 0;
   if (ckpt_every > 0 || resume) {
@@ -381,6 +440,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n\n", args.status().ToString().c_str());
     PrintUsage();
     return 2;
+  }
+  if (const FlagSpec* spec = CommandFlags(args->command)) {
+    Status st = CheckFlags(*args, *spec);
+    if (!st.ok()) {
+      std::fprintf(stderr, "error: %s\n\n", st.ToString().c_str());
+      PrintUsage();
+      return 2;
+    }
   }
   if (args->command == "generate") return Generate(*args);
   if (args->command == "train") return Train(*args);
