@@ -26,7 +26,9 @@ IncrementalScorer::IncrementalScorer(StisanModel* model, int64_t max_seq_len)
 }
 
 std::unique_ptr<IncrementalState> IncrementalScorer::NewState() const {
-  return std::make_unique<IncrementalState>();
+  auto state = std::make_unique<IncrementalState>();
+  state->embed_cache = Tensor::Zeros({max_seq_len_, model_->model_dim()});
+  return state;
 }
 
 int64_t IncrementalScorer::Sync(IncrementalState& state,

@@ -47,13 +47,20 @@ struct IncrementalState {
 };
 
 /// Scorer over a frozen model. The model must outlive the engine and stay
-/// in eval mode while serving (Score() re-asserts it). Thread-compatible:
-/// distinct states may be driven from distinct engines concurrently, but
-/// one state must not be shared across threads.
+/// in eval mode while serving (Score() re-asserts it). One engine may drive
+/// distinct states from several threads at once: the eval-mode forward
+/// only reads the model (its TAPE and relation caches lock), and the
+/// dropout Rng below is never drawn from. One state must not be used by
+/// two threads at once.
 class IncrementalScorer {
  public:
   IncrementalScorer(StisanModel* model, int64_t max_seq_len);
 
+  /// A fresh state whose embedding cache (the [max_seq_len, d] buffer the
+  /// first Sync would otherwise allocate) is allocated here. A service that
+  /// creates states on one thread and scores them on others thus keeps
+  /// that long-lived buffer in the creating thread's malloc arena instead
+  /// of spreading it over every scoring thread's arena.
   std::unique_ptr<IncrementalState> NewState() const;
 
   /// Advances the state's caches to cover the full history (pois.size()

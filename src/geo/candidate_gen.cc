@@ -55,15 +55,9 @@ void CandidateGenerator::GenerateBatch(
     run_range(0, 0, n);
     return;
   }
-  for (int64_t slot = 0; slot < workers; ++slot) {
-    const int64_t begin = slot * chunk;
-    const int64_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool->Submit([&run_range, slot, begin, end] {
-      run_range(slot, begin, end);
-    });
-  }
-  pool->Wait();
+  pool->Run((n + chunk - 1) / chunk, [&run_range, n, chunk](int64_t slot) {
+    run_range(slot, slot * chunk, std::min(n, (slot + 1) * chunk));
+  });
 }
 
 }  // namespace stisan::geo

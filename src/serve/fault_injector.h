@@ -1,10 +1,12 @@
 // Fault-injection hooks for the serving runtime, in the spirit of
 // util::FaultInjectionEnv (io_env.h): tests install a declarative plan and
-// the service calls back at well-defined points on its worker/pump thread.
+// the service calls back at well-defined points of its sequencing pass, on
+// the worker/pump thread in op arrival order — so which request a period
+// hits does not depend on how the execution pass schedules scores.
 //
 // Injectable faults:
-//   - scorer throws: every Nth score op raises ServeFaultError from inside
-//     the scoring path (incremental or fallback), exercising the worker's
+//   - scorer throws: every Nth incremental or cold-start score op raises
+//     ServeFaultError while it is sequenced, exercising the worker's
 //     exception barrier — the affected request must resolve with kInternal
 //     and the service must keep serving;
 //   - batch throws: every Nth fallback ScoreBatch call fails before the
@@ -17,8 +19,8 @@
 //     under test control.
 //
 // All counters are atomics: the plan is installed from the test thread
-// before load is applied, hooks run on the worker thread, and tests read
-// the counters after Drain()/shutdown.
+// before load is applied, hooks run on the worker (or Pump) thread, and
+// tests read the counters after Drain()/shutdown.
 
 #pragma once
 
@@ -57,7 +59,7 @@ class ServeFaultInjector {
   void SetPlan(const ServeFaultPlan& plan);
   const ServeFaultPlan& plan() const { return plan_; }
 
-  // ---- Hooks (called by RecommendService on its processing thread) ----
+  // ---- Hooks (called by RecommendService's sequencing pass) ----
 
   /// Called once per dequeued batch, before any op is applied. Sleeps
   /// plan().batch_latency_us.
@@ -67,8 +69,9 @@ class ServeFaultInjector {
   /// the user's cache state force-evicted first.
   bool ShouldEvictBeforeScore();
 
-  /// Called from inside the scoring path; throws ServeFaultError when the
-  /// plan's score-throw period fires.
+  /// Called while an incremental or cold-start score is sequenced, before
+  /// it is recorded or answered; throws ServeFaultError when the plan's
+  /// score-throw period fires.
   void MaybeThrowOnScore();
 
   /// Called before each fallback ScoreBatch forward; throws

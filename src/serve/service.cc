@@ -10,6 +10,7 @@
 
 #include "core/stisan.h"
 #include "obs/metrics.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
 
 namespace stisan::serve {
@@ -461,7 +462,8 @@ void RecommendService::FlushFallback(std::vector<Op>* pending) {
   pending->clear();
 }
 
-void RecommendService::ServeScore(Op& op, std::vector<Op>* pending) {
+void RecommendService::ServeScore(Op& op, std::vector<Op>* pending,
+                                  ScoreSchedule* schedule) {
   ServeMetrics& m = Metrics();
   m.requests.Inc();
   if (op.has_deadline && std::chrono::steady_clock::now() > op.deadline) {
@@ -503,12 +505,32 @@ void RecommendService::ServeScore(Op& op, std::vector<Op>* pending) {
     store_.MarkResident(s, s.state ? nullptr : engine_->NewState());
     m.evictions.Inc(
         static_cast<uint64_t>(store_.evictions() - evictions_before));
-    if (s.state->cached_len == 0 && len > 1) m.cold_builds.Inc();
+    // The state's cached_len moves only when the execution pass runs the
+    // scores; an earlier recorded score on this same state will have
+    // synced it to that score's length by the time this one runs.
+    auto slot = schedule->slot_of_user.find(op.user);
+    const IncrementalJob* last =
+        slot == schedule->slot_of_user.end()
+            ? nullptr
+            : &schedule->per_user[slot->second].back();
+    const int64_t synced_len =
+        last != nullptr && last->state == s.state
+            ? static_cast<int64_t>(last->op.instance.poi.size())
+            : s.state->cached_len;
+    if (synced_len == 0 && len > 1) m.cold_builds.Inc();
     if (inj != nullptr) inj->MaybeThrowOnScore();
-    std::vector<float> scores =
-        engine_->Score(*s.state, s.pois, s.timestamps, op.candidates);
-    m.incremental.Inc();
-    Fulfil(op, std::move(scores));
+    op.instance.user = op.user;
+    op.instance.poi = s.pois;
+    op.instance.t = s.timestamps;
+    op.instance.first_real = 0;
+    if (slot == schedule->slot_of_user.end()) {
+      slot = schedule->slot_of_user
+                 .emplace(op.user, schedule->per_user.size())
+                 .first;
+      schedule->per_user.emplace_back();
+    }
+    op.handed_off = true;
+    schedule->per_user[slot->second].push_back({std::move(op), s.state});
     return;
   }
   // Fallback: trailing window through the padded batch path.
@@ -549,13 +571,53 @@ bool RecommendService::GenerateCatalogPool(Op& op, const Session& session) {
   return true;
 }
 
+void RecommendService::RunIncremental(IncrementalJob& job) {
+  Op& op = job.op;
+  // Deadline re-check at the last moment: the op may have expired while
+  // this user's earlier scores, or other users' tasks ahead of this one,
+  // ran.
+  if (op.has_deadline && std::chrono::steady_clock::now() > op.deadline) {
+    Expire(op);
+    return;
+  }
+  // Exception barrier: a throwing scorer fails only this request.
+  try {
+    std::vector<float> scores = engine_->Score(
+        *job.state, op.instance.poi, op.instance.t, op.candidates);
+    Metrics().incremental.Inc();
+    Fulfil(op, std::move(scores));
+  } catch (const std::exception& e) {
+    if (!op.resolved) {
+      Metrics().batch_failures.Inc();
+      Fail(op, Status::Internal(std::string("scorer failed: ") + e.what()));
+    }
+  }
+}
+
+void RecommendService::RunSchedule(ScoreSchedule* schedule) {
+  std::vector<std::vector<IncrementalJob>>& per_user = schedule->per_user;
+  // Each user's scores run in arrival order on one thread, so a state is
+  // never shared between threads; distinct users run side by side.
+  kernels::GlobalPool().Run(static_cast<int64_t>(per_user.size()),
+                            [this, &per_user](int64_t u) {
+                              for (IncrementalJob& job :
+                                   per_user[static_cast<size_t>(u)]) {
+                                RunIncremental(job);
+                              }
+                            });
+}
+
 void RecommendService::Process(std::vector<Op> ops) {
   ServeMetrics& m = Metrics();
   if (options_.fault_injector != nullptr) {
     options_.fault_injector->OnBatchDequeued();
   }
   for (const Op& op : ops) m.queue_wait.Observe(SecondsSince(op.enqueued));
+  // Sequencing pass: every op in arrival order on this thread. Fallback
+  // scores are served here; incremental scores are recorded in `schedule`
+  // for the execution pass below.
   std::vector<Op> pending;
+  ScoreSchedule schedule;
   auto pending_user = [&pending](int64_t user) {
     for (const Op& op : pending) {
       if (op.user == user) return true;
@@ -602,7 +664,7 @@ void RecommendService::Process(std::vector<Op> ops) {
         // kInternal; the worker — and every other queued request —
         // keeps going.
         try {
-          ServeScore(op, &pending);
+          ServeScore(op, &pending, &schedule);
         } catch (const std::exception& e) {
           if (!op.resolved && !op.handed_off) {
             m.batch_failures.Inc();
@@ -615,6 +677,7 @@ void RecommendService::Process(std::vector<Op> ops) {
     }
   }
   FlushFallback(&pending);
+  RunSchedule(&schedule);
   m.resident.Set(static_cast<double>(store_.resident_count()));
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -8,15 +8,27 @@
 //     geo-pruned candidate pool around the user's latest check-in, re-ranked
 //     by the model, top-k returned (DESIGN.md §17)
 //
-// A single worker drains the queue (optionally waiting a coalescing window
-// so concurrent requests batch), applies appends in arrival order, serves
-// incremental-capable requests from the user's cached state
-// (core::IncrementalScorer: cached embedding and relation rows, encoder
-// rerun per score), and coalesces the
-// rest (non-STiSAN models, histories past the serving window) into the
-// model's eval::BatchScorer padded-[B, n, d] path, grouped by sequence
-// length. Per-user FIFO ordering is preserved: a queued fallback score
-// flushes before a later op for the same user is applied.
+// One worker drains the queue (optionally waiting a coalescing window so
+// concurrent requests batch) and processes each dequeued batch in two
+// passes (DESIGN.md §14):
+//
+//   - Sequencing, on the worker: every op in arrival order — admission
+//     and deadline checks, fault hooks, appends, LRU marking and eviction,
+//     catalog stage one, every serve/* path counter. Requests the model
+//     cannot serve incrementally (non-STiSAN models, histories past the
+//     serving window) coalesce into the model's eval::BatchScorer
+//     padded-[B, n, d] path, grouped by sequence length; a queued fallback
+//     score flushes before a later op for the same user is applied.
+//     Incremental scores are only recorded: the op with its arrival-time
+//     history and the cache state it was assigned.
+//   - Execution: each user's recorded scores run in arrival order as one
+//     task on kernels::GlobalPool() (core::IncrementalScorer: cached
+//     embedding and relation rows, encoder rerun per score), different
+//     users concurrently. A task runs all its kernels on its own thread; a
+//     batch with one such user runs on the worker itself.
+//
+// So the session store, the LRU and the counters see exactly the
+// sequential op order, and each request's scores come from one thread.
 //
 // Overload safety (DESIGN.md §15): every request resolves — with scores or
 // with a typed util::Status — and no input, fault, or load level crashes
@@ -27,9 +39,10 @@
 //     new op (kRejectNew, kResourceExhausted), or sheds the oldest queued
 //     score to admit the new op (kShedOldest).
 //   - Deadlines: per-request (or `default_deadline_us`) deadlines are
-//     checked at dequeue and again before the fallback batch forward;
-//     expired requests resolve kDeadlineExceeded. Deadline pressure also
-//     cuts the coalescing window short.
+//     checked at dequeue and again right before the fallback batch
+//     forward or the incremental score runs; expired requests resolve
+//     kDeadlineExceeded. Deadline pressure also cuts the coalescing window
+//     short.
 //   - Fault tolerance: an exception barrier around the scoring paths
 //     resolves only the affected request/batch with kInternal and keeps
 //     the worker alive; Shutdown() (and the destructor) resolve every
@@ -42,7 +55,9 @@
 // Determinism contract (pinned by tests/serve_test.cpp): per-user scores
 // of *accepted* requests are bit-identical to a cold model->Score on the
 // same history, whatever the arrival interleaving, coalescing window,
-// batch cap, thread count, eviction pattern, or surrounding faults.
+// batch cap, thread count, eviction pattern, or surrounding faults; and
+// without deadlines, which requests fail and every serve/* counter equal a
+// sequential replay of the same ops at any thread count.
 //
 // Observability (src/obs): counters serve/appends, serve/requests,
 // serve/incremental_scored, serve/fallback_scored, serve/cold_starts,
@@ -64,6 +79,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "data/types.h"
@@ -246,12 +262,27 @@ class RecommendService {
     bool has_deadline = false;
     // Barrier bookkeeping: `resolved` is set once the promise has been
     // fulfilled; `handed_off` is set just before the op moves into the
-    // pending fallback batch (whose flush resolves it), so the worker's
-    // catch block knows the stack copy no longer owns the promise.
+    // pending fallback batch or the execution pass (which resolve it), so
+    // the worker's catch block knows the stack copy no longer owns the
+    // promise.
     bool resolved = false;
     bool handed_off = false;
-    // Fallback scores carry their windowed instance while pending.
+    // Pending scores carry their history as of arrival (the trailing
+    // window for fallback scores).
     data::EvalInstance instance;
+  };
+
+  // An incremental score recorded by the sequencing pass, with the cache
+  // state it was assigned. Holding the state keeps it alive when a later
+  // op of the batch evicts the session before the score runs.
+  struct IncrementalJob {
+    Op op;
+    std::shared_ptr<core::IncrementalState> state;
+  };
+  // The execution pass's work: each user's jobs in arrival order.
+  struct ScoreSchedule {
+    std::vector<std::vector<IncrementalJob>> per_user;
+    std::unordered_map<int64_t, size_t> slot_of_user;
   };
 
   /// Admission + enqueue. On error the op is NOT consumed (score ops are
@@ -262,7 +293,12 @@ class RecommendService {
   void WorkerLoop();
   /// Never throws; every score op it receives gets resolved.
   void Process(std::vector<Op> ops);
-  void ServeScore(Op& op, std::vector<Op>* pending);
+  void ServeScore(Op& op, std::vector<Op>* pending, ScoreSchedule* schedule);
+  /// The execution pass: one pool task per user. Never throws.
+  void RunSchedule(ScoreSchedule* schedule);
+  /// Re-checks the deadline, then scores and resolves one recorded
+  /// request. Never throws.
+  void RunIncremental(IncrementalJob& job);
   /// Resolves an op whose deadline expired before serving.
   void Expire(Op& op);
   void FlushFallback(std::vector<Op>* pending);
@@ -279,8 +315,8 @@ class RecommendService {
   std::unique_ptr<core::IncrementalScorer> engine_;
   SessionStore store_;
   /// Catalog ranking stage one (built iff options.poi_coords is set);
-  /// index id = poi - 1. Only the single worker (or Pump caller) touches
-  /// the scratch.
+  /// index id = poi - 1. Stage one runs in the sequencing pass, so only
+  /// the worker (or Pump caller) touches the scratch.
   std::unique_ptr<geo::SpatialGridIndex> catalog_index_;
   std::unique_ptr<geo::CandidateGenerator> catalog_gen_;
   geo::SpatialGridIndex::QueryScratch catalog_scratch_;

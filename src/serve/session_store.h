@@ -8,9 +8,12 @@
 // materialised, evicted LRU by user. An evicted session keeps its history
 // and pays one cold cache rebuild when the user returns.
 //
-// Single-threaded by design: the service serialises all access through its
-// op queue (one worker), which is also what makes eviction order — and
-// therefore the serve obs counters — deterministic for a given op order.
+// Not thread-safe: the service touches the store only in its sequencing
+// pass, on the worker, in op arrival order. That is what makes eviction
+// order — and therefore the serve obs counters — deterministic for a given
+// op order. The execution pass reads no session: each recorded score
+// carries its own history copy and a reference to its cache state, which
+// keeps an evicted state alive until the score has run.
 
 #pragma once
 
@@ -29,8 +32,9 @@ struct Session {
   std::vector<int64_t> pois;
   std::vector<double> timestamps;
   // Resident cache state; null when cold, evicted, or the model has no
-  // incremental engine.
-  std::unique_ptr<core::IncrementalState> state;
+  // incremental engine. Shared with scores the service has recorded but not
+  // yet run, so eviction only drops the session's reference.
+  std::shared_ptr<core::IncrementalState> state;
   bool resident = false;
   std::list<int64_t>::iterator lru_it;  // valid only while resident
 };

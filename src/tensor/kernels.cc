@@ -27,10 +27,6 @@ int64_t EnvInt64(const char* name, int64_t fallback) {
 std::mutex g_pool_mutex;
 std::unique_ptr<ThreadPool> g_pool;
 
-// True while the current thread is executing a ParallelRanges chunk; nested
-// dispatches must run inline (a worker waiting on its own pool deadlocks).
-thread_local bool tl_in_parallel_region = false;
-
 }  // namespace
 
 ThreadPool& GlobalPool() {
@@ -94,7 +90,7 @@ void ParallelRanges(int64_t n, int64_t cost_per_item,
                     const std::function<void(int64_t, int64_t)>& fn) {
   if (n <= 0) return;
   const int64_t work = n * std::max<int64_t>(1, cost_per_item);
-  if (tl_in_parallel_region || work < ParallelMinWork()) {
+  if (InSerialRegion() || work < ParallelMinWork()) {
     fn(0, n);
     return;
   }
@@ -107,20 +103,9 @@ void ParallelRanges(int64_t n, int64_t cost_per_item,
   static obs::Counter& dispatches = obs::GetCounter("kernels/dispatches");
   dispatches.Inc();
   const int64_t per_chunk = (n + chunks - 1) / chunks;
-  for (int64_t c = 0; c < chunks; ++c) {
-    const int64_t begin = c * per_chunk;
-    const int64_t end = std::min(n, begin + per_chunk);
-    if (begin >= end) break;
-    pool.Submit([begin, end, &fn] {
-      // RAII so a throwing fn cannot leave the flag stuck on this worker.
-      struct RegionFlag {
-        RegionFlag() { tl_in_parallel_region = true; }
-        ~RegionFlag() { tl_in_parallel_region = false; }
-      } flag;
-      fn(begin, end);
-    });
-  }
-  pool.Wait();
+  pool.Run((n + per_chunk - 1) / per_chunk, [n, per_chunk, &fn](int64_t c) {
+    fn(c * per_chunk, std::min(n, (c + 1) * per_chunk));
+  });
 }
 
 namespace {

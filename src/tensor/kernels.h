@@ -4,8 +4,15 @@
 // softmax, layernorm, elementwise maps, embedding gather) lives here, behind
 // a process-wide lazily-initialised ThreadPool. Work is dispatched with
 // ParallelRanges: a job is split across the pool only when its element-count
-// cost crosses ParallelMinWork() (so tiny test tensors stay serial) and the
-// pool has more than one thread.
+// cost crosses ParallelMinWork() (so tiny test tensors stay serial), the
+// pool has more than one thread, and the caller is outside a serial region.
+//
+// Nesting: code that runs on a pool worker (a ParallelFor chunk, a
+// ThreadPool::Run task such as one serving user's scores) is in a serial
+// region (util/thread_pool.h), so every kernel it reaches runs inline on
+// that thread. A task therefore never waits on the pool it runs on, and
+// the serving runtime gets its parallelism from running requests side by
+// side rather than from splitting each request's small ops.
 //
 // Determinism: parallelism is only ever over *disjoint output rows/ranges* —
 // each output element is produced by exactly one thread using the same
@@ -15,7 +22,9 @@
 // reason.
 //
 // Env knob:
-//   STISAN_NUM_THREADS    - pool size (default: hardware concurrency)
+//   STISAN_NUM_THREADS    - pool size (default: hardware concurrency). It
+//                           also bounds how many serving requests score at
+//                           once, since each user's scores run as one task.
 
 #pragma once
 
@@ -72,9 +81,10 @@ const char* SimdBackendName();
 void SetSimdEnabledForTesting(int enabled);
 
 /// Runs fn(begin, end) over a partition of [0, n). Splits across the pool
-/// when n * cost_per_item >= ParallelMinWork() and more than one worker is
-/// available; otherwise calls fn(0, n) inline. Safe to call from inside a
-/// worker (nested calls run serially).
+/// when n * cost_per_item >= ParallelMinWork(), more than one worker is
+/// available and the caller is outside a serial region; otherwise calls
+/// fn(0, n) inline. Safe to call from inside a pool task (it runs inline
+/// there).
 void ParallelRanges(int64_t n, int64_t cost_per_item,
                     const std::function<void(int64_t, int64_t)>& fn);
 

@@ -5,6 +5,27 @@
 
 namespace stisan {
 
+namespace {
+
+thread_local bool tl_serial = false;
+
+// Marks the calling thread serial while alive and restores the previous
+// mark, so a throwing call cannot leave it stuck.
+class SerialScope {
+ public:
+  SerialScope() : previous_(std::exchange(tl_serial, true)) {}
+  ~SerialScope() { tl_serial = previous_; }
+  SerialScope(const SerialScope&) = delete;
+  SerialScope& operator=(const SerialScope&) = delete;
+
+ private:
+  bool previous_;
+};
+
+}  // namespace
+
+bool InSerialRegion() { return tl_serial; }
+
 ThreadPool::ThreadPool(int64_t threads) {
   if (threads <= 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -17,64 +38,77 @@ ThreadPool::ThreadPool(int64_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
   }
-  task_available_.notify_all();
+  item_available_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
+void ThreadPool::Run(int64_t n, const std::function<void(int64_t)>& task) {
+  if (n <= 0) return;
+  if (n == 1 || workers_.size() <= 1 || InSerialRegion()) {
+    const SerialScope serial;
+    std::exception_ptr first_error;
+    for (int64_t i = 0; i < n; ++i) {
+      try {
+        task(i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+    return;
   }
-  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-  task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
+  Batch batch{&task, n, nullptr};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (int64_t i = 0; i < n; ++i) items_.push_back({&batch, i});
+  }
+  tasks_submitted_.fetch_add(static_cast<uint64_t>(n),
+                             std::memory_order_relaxed);
+  if (n >= num_threads()) {
+    item_available_.notify_all();
+  } else {
+    for (int64_t i = 0; i < n; ++i) item_available_.notify_one();
+  }
   std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_exception_) {
-    std::exception_ptr ex = std::exchange(first_exception_, nullptr);
+  batch_done_.wait(lock, [&batch] { return batch.remaining == 0; });
+  if (batch.first_error) {
+    std::exception_ptr error = std::move(batch.first_error);
     lock.unlock();
-    std::rethrow_exception(ex);
+    std::rethrow_exception(error);
   }
 }
 
 void ThreadPool::WorkerLoop() {
+  tl_serial = true;
   for (;;) {
-    std::function<void()> task;
+    Item item;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      task_available_.wait(lock,
-                           [this] { return shutdown_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      item_available_.wait(lock,
+                           [this] { return shutdown_ || !items_.empty(); });
+      if (items_.empty()) return;  // shutting down with nothing left
+      item = items_.front();
+      items_.pop_front();
     }
-    // An escaping exception would std::terminate the worker; capture the
-    // first one for Wait() to rethrow and keep the in-flight count exact
-    // either way so Wait() never deadlocks after a throwing task.
-    std::exception_ptr exception;
+    // An escaping exception would std::terminate the worker; hand it to
+    // the Run call that owns the task instead, and count the task done
+    // either way so that call never waits forever.
+    std::exception_ptr error;
     try {
-      task();
+      (*item.batch->task)(item.index);
     } catch (...) {
-      exception = std::current_exception();
+      error = std::current_exception();
     }
     tasks_completed_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (exception && !first_exception_) {
-        first_exception_ = std::move(exception);
-      }
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    Batch& batch = *item.batch;
+    if (error && !batch.first_error) batch.first_error = std::move(error);
+    // The caller may return as soon as the lock drops: touch nothing of
+    // the batch after this.
+    if (--batch.remaining == 0) batch_done_.notify_all();
   }
 }
 
@@ -82,25 +116,17 @@ void ParallelFor(ThreadPool& pool, int64_t n,
                  const std::function<void(int64_t)>& fn) {
   if (n <= 0) return;  // nothing to do; never touch the pool
   // Chunk to limit queue churn.
-  const int64_t chunks =
-      std::min<int64_t>(n, pool.num_threads() * 4);
-  if (chunks <= 1 || pool.num_threads() <= 1) {
-    // Degenerate single-chunk case: run inline. Submitting one task would
-    // only add queue/wakeup latency, and calling Wait() from inside a
-    // worker of a single-threaded pool would deadlock.
+  const int64_t chunks = std::min<int64_t>(n, pool.num_threads() * 4);
+  if (chunks <= 1 || pool.num_threads() <= 1 || InSerialRegion()) {
+    // One chunk: submitting it would only add queue/wakeup latency.
     for (int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
   const int64_t per_chunk = (n + chunks - 1) / chunks;
-  for (int64_t c = 0; c < chunks; ++c) {
-    const int64_t begin = c * per_chunk;
-    const int64_t end = std::min(n, begin + per_chunk);
-    if (begin >= end) break;
-    pool.Submit([begin, end, &fn] {
-      for (int64_t i = begin; i < end; ++i) fn(i);
-    });
-  }
-  pool.Wait();
+  pool.Run((n + per_chunk - 1) / per_chunk, [n, per_chunk, &fn](int64_t c) {
+    const int64_t end = std::min(n, (c + 1) * per_chunk);
+    for (int64_t i = c * per_chunk; i < end; ++i) fn(i);
+  });
 }
 
 }  // namespace stisan

@@ -1,28 +1,32 @@
-// A minimal fixed-size thread pool with a ParallelFor convenience, used to
-// parallelise read-only evaluation across test instances.
+// A minimal fixed-size thread pool with a ParallelFor convenience. The
+// kernel backend splits large ops across it, evaluation generates
+// candidates on it, and the serving runtime runs one task per user on it.
 
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace stisan {
 
-/// Fixed worker pool. Tasks are void() closures; Wait() blocks until all
-/// submitted tasks finish. Not copyable.
+/// True on a thread whose parallel calls must run inline: every pool
+/// worker, and a thread while ThreadPool::Run executes its calls inline. A
+/// pool task that waited on a pool could be waiting on itself.
+bool InSerialRegion();
+
+/// Fixed worker pool. Not copyable.
 ///
-/// Exception safety: a task that throws never reaches std::terminate — the
-/// worker captures the first exception raised since the last Wait() and
-/// Wait() rethrows it on the calling thread once every in-flight task has
-/// drained (so the in-flight count stays consistent and no later Wait()
-/// deadlocks). Exceptions after the first are swallowed.
+/// Work enters through Run (or ParallelFor on top of it). Each call waits
+/// only for its own tasks and rethrows only its own first exception, so
+/// several threads may drive one pool at once. A throwing task never
+/// reaches std::terminate, and the call's other tasks still run.
 class ThreadPool {
  public:
   /// `threads` = 0 uses the hardware concurrency (at least 1).
@@ -32,19 +36,22 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has completed, then rethrows the
-  /// first exception any of them raised (if one did).
-  void Wait();
+  /// Runs task(i) for each i in [0, n) and blocks until these n calls have
+  /// finished. If any call throws, the others still run, and the first
+  /// exception is rethrown here. Every call runs single-threaded: nested
+  /// ParallelFor and kernels::ParallelRanges calls inside it run inline.
+  /// Each call is one pool task, except that with n == 1, a one-thread
+  /// pool, or a caller inside a serial region the calls run in order on
+  /// the calling thread.
+  void Run(int64_t n, const std::function<void(int64_t)>& task);
 
   int64_t num_threads() const {
     return static_cast<int64_t>(workers_.size());
   }
 
-  /// Lifetime totals of tasks enqueued / finished, for observability
-  /// snapshots. Relaxed reads; exact once the pool is quiescent.
+  /// Lifetime totals of pool tasks enqueued / finished (calls Run makes
+  /// inline are not counted), for observability snapshots. Relaxed reads;
+  /// exact once the pool is quiescent.
   uint64_t tasks_submitted() const {
     return tasks_submitted_.load(std::memory_order_relaxed);
   }
@@ -53,24 +60,35 @@ class ThreadPool {
   }
 
  private:
+  // One Run call's bookkeeping; lives on the calling thread's stack.
+  struct Batch {
+    const std::function<void(int64_t)>* task;
+    int64_t remaining;               // guarded by mutex_
+    std::exception_ptr first_error;  // guarded by mutex_
+  };
+  struct Item {
+    Batch* batch;
+    int64_t index;
+  };
+
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  std::deque<Item> items_;
   std::mutex mutex_;
-  std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  int64_t in_flight_ = 0;
+  std::condition_variable item_available_;
+  std::condition_variable batch_done_;
   bool shutdown_ = false;
-  std::exception_ptr first_exception_;  // guarded by mutex_
   std::atomic<uint64_t> tasks_submitted_{0};
   std::atomic<uint64_t> tasks_completed_{0};
 };
 
-/// Runs fn(i) for i in [0, n) across the pool; blocks until done.
-/// fn must be safe to call concurrently for distinct i. If any fn(i) throws,
-/// the remaining indices of other chunks still run, and the first exception
-/// is rethrown here on the calling thread.
+/// Runs fn(i) for i in [0, n) across the pool in at most 4 chunks per
+/// thread; blocks until done. fn must be safe to call concurrently for
+/// distinct i. One chunk, a one-thread pool, or a caller inside a serial
+/// region runs the loop on the calling thread. If any fn(i) throws, the
+/// other chunks still run, and the first exception is rethrown here on the
+/// calling thread.
 void ParallelFor(ThreadPool& pool, int64_t n,
                  const std::function<void(int64_t)>& fn);
 

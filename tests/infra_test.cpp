@@ -1,10 +1,9 @@
 // Tests for the supporting infrastructure added on top of the core
-// reproduction: checkpoint serialization, thread pool, early stopping, and
-// the extended evaluation metrics.
+// reproduction: checkpoint serialization, early stopping, and the extended
+// evaluation metrics.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 
@@ -12,7 +11,6 @@
 #include "nn/layers.h"
 #include "train/early_stopping.h"
 #include "util/serialize.h"
-#include "util/thread_pool.h"
 
 namespace stisan {
 namespace {
@@ -100,45 +98,6 @@ TEST(ModuleCheckpointTest, GarbageFileRejected) {
   nn::Linear a(2, 2, rng);
   EXPECT_FALSE(a.LoadParameters(path).ok());
   std::remove(path.c_str());
-}
-
-// ---- Thread pool ----------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  ParallelFor(pool, 257, [&hits](int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool called = false;
-  ParallelFor(pool, 0, [&called](int64_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 // ---- Early stopping ------------------------------------------------------------------

@@ -15,7 +15,8 @@
 //    queue, with shed/rejected requests resolved immediately.
 // 5. Deadlines: expired requests resolve kDeadlineExceeded, resident
 //    cached state or not; the fallback path re-checks deadlines before
-//    paying for a batch forward.
+//    paying for a batch forward, and an incremental score re-checks its
+//    deadline when its pool task reaches it.
 // 6. Concurrent stress: multi-producer appends/scores/evicts with random
 //    deadlines under queue policy x {worker, Pump} grids, plus a
 //    Drain()-vs-Enqueue race.
@@ -622,6 +623,64 @@ TEST_F(ServeRobustnessTest, FallbackRechecksDeadlineBeforeForward) {
   EXPECT_EQ(c.get().status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(obs::GetCounter("serve/deadline_exceeded").Get(), 1u);
   EXPECT_EQ(obs::GetCounter("serve/fallback_scored").Get(), 2u);
+}
+
+// Incremental scores run as pool tasks after the batch is sequenced. A
+// request that was live when sequenced but whose deadline passes while its
+// task waits behind other tasks on the pool resolves kDeadlineExceeded
+// without scoring; a request without a deadline in the same batch is
+// served bit-identically once the pool frees up.
+TEST_F(ServeRobustnessTest, DeadlinePassedBehindOtherTasksResolvesExpired) {
+  core::StisanModel model(ds_, TinyStisanOptions());
+  const auto users = PickUsers(/*min_len=*/6, /*max_users=*/2);
+  ASSERT_EQ(users.size(), 2u);
+  kernels::SetNumThreads(2);
+
+  ServeOptions so;
+  so.start_worker = false;
+  so.max_seq_len = 32;
+  RecommendService service(&model, so);
+  for (int64_t user : users) {
+    const auto& seq = ds_.user_seqs[static_cast<size_t>(user)];
+    for (size_t k = 0; k < 5; ++k) {
+      ASSERT_TRUE(service.Append(user, seq[k].poi, seq[k].timestamp).ok());
+    }
+  }
+  const auto& seq0 = ds_.user_seqs[static_cast<size_t>(users[0])];
+  const auto cands = Candidates(seq0[5].poi, 12, 17);
+  auto patient = service.ScoreAsync(users[0], cands);
+  auto hurried = service.ScoreAsync(users[1], cands, /*deadline_us=*/50'000);
+
+  // Occupy both pool workers, so the batch's two user tasks queue behind.
+  std::promise<void> gate;
+  std::shared_future<void> gate_open = gate.get_future().share();
+  std::atomic<int> blocking{0};
+  std::thread blocker([&] {
+    ParallelFor(kernels::GlobalPool(), 2, [&](int64_t) {
+      blocking++;
+      gate_open.wait();
+    });
+  });
+  while (blocking.load() < 2) std::this_thread::yield();
+  std::thread pumper([&] { service.Pump(); });
+  // Both requests are sequenced (live) before the deadline passes.
+  while (obs::GetCounter("serve/requests").Get() < 2) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  gate.set_value();
+  blocker.join();
+  pumper.join();
+
+  ScoreResult r = hurried.get();
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+      << r.status.ToString();
+  EXPECT_TRUE(r.scores.empty());
+  r = patient.get();
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.scores, ColdScore(model, seq0, 5, cands));
+  EXPECT_EQ(obs::GetCounter("serve/deadline_exceeded").Get(), 1u);
+  EXPECT_EQ(obs::GetCounter("serve/incremental_scored").Get(), 1u);
 }
 
 // ---------------------------------------------------------------------------

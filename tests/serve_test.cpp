@@ -10,9 +10,13 @@
 //    counter totals are independent of arrival interleaving and batch
 //    caps; metric accumulation reuses the MetricAccumulator::Merge
 //    rank-replay pattern from eval_pipeline_test.cpp.
-// 3. Session-store property/fuzz: randomized append/evict/lookup/resident
+// 3. Concurrent-vs-sequential serving: one batch of many users scored as
+//    per-user pool tasks at 1 and 4 threads answers, fails and counts
+//    exactly as a sequential SessionStore + IncrementalScorer replay, with
+//    evictions, window overflow, catalog requests and injected faults.
+// 4. Session-store property/fuzz: randomized append/evict/lookup/resident
 //    interleavings against a naive map-of-vectors + LRU-deque reference.
-// 4. Latent-bug regressions: single-token and mixed-length batches through
+// 5. Latent-bug regressions: single-token and mixed-length batches through
 //    eval::BatchScorer implementations (StisanModel::ScoreBatch used to
 //    CHECK-fail on ragged inputs).
 
@@ -20,8 +24,11 @@
 
 #include <algorithm>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -29,12 +36,16 @@
 #include "core/stisan.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "geo/candidate_gen.h"
+#include "geo/spatial_index.h"
 #include "models/san_models.h"
 #include "obs/metrics.h"
+#include "serve/fault_injector.h"
 #include "serve/service.h"
 #include "serve/session_store.h"
 #include "tensor/kernels.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace stisan {
 namespace {
@@ -465,6 +476,302 @@ TEST_F(ServeTest, WorkerThreadWithCoalescingWindowMatches) {
     auto result = futures[i].get();
     EXPECT_EQ(result.scores, want[i]) << "user=" << users[i];
     EXPECT_GE(result.latency_s, 0.0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent serving equals sequential serving: one Pump() batch with many
+// users (each user's scores run as one pool task), capacity evictions that
+// land mid-batch, a user crossing the serving window, catalog requests and
+// injected scorer throws and evictions. At pool sizes 1 and 4, every OK
+// answer equals a cold model->Score on its arrival-time window, and the
+// failed requests and every serve/* counter equal a sequential replay
+// through SessionStore + IncrementalScorer.
+// ---------------------------------------------------------------------------
+
+struct StreamOp {
+  enum Kind { kAppend, kScore, kCatalog } kind;
+  int64_t user;
+  data::Visit visit;                // kAppend
+  std::vector<int64_t> candidates;  // kScore
+};
+
+// One request's outcome: the status code, the answer, and (from the
+// replay) the window and candidates a cold forward must reproduce.
+struct Answer {
+  StatusCode code = StatusCode::kOk;
+  std::vector<float> scores;
+  std::vector<int64_t> pois;
+  data::EvalInstance window;
+  std::vector<int64_t> candidates;
+  bool operator==(const Answer& o) const {
+    return code == o.code && scores == o.scores && pois == o.pois;
+  }
+};
+
+// The catalog answer: descending score, ties by ascending id, top k.
+void RankTopK(const std::vector<int64_t>& pool,
+              const std::vector<float>& scores, int64_t top_k, Answer* out) {
+  std::vector<size_t> order(pool.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    return pool[a] < pool[b];
+  });
+  order.resize(std::min(order.size(), static_cast<size_t>(top_k)));
+  out->pois.clear();
+  out->scores.clear();
+  for (size_t i : order) {
+    out->pois.push_back(pool[i]);
+    out->scores.push_back(scores[i]);
+  }
+}
+
+constexpr int64_t kCatalogTopK = 5;
+
+std::map<std::string, uint64_t> ServeCounters() {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [name, value] : obs::TakeSnapshot().counters) {
+    if (name.rfind("serve/", 0) == 0 && value != 0) out[name] = value;
+  }
+  return out;
+}
+
+// Applies the stream op by op in the order RecommendService sequences it
+// (request validation aside), with the engine scoring each incremental
+// request on the spot.
+std::vector<Answer> SequentialReplay(core::StisanModel& model,
+                                     const data::Dataset& ds,
+                                     const serve::ServeOptions& so,
+                                     const serve::ServeFaultPlan& plan,
+                                     const std::vector<StreamOp>& stream,
+                                     std::map<std::string, uint64_t>* counts) {
+  serve::SessionStore store(so.max_sessions);
+  core::IncrementalScorer engine(&model, so.max_seq_len);
+  serve::ServeFaultInjector faults;
+  faults.SetPlan(plan);
+  const geo::SpatialGridIndex index(
+      std::vector<geo::GeoPoint>(ds.poi_coords.begin() + 1,
+                                 ds.poi_coords.end()),
+      so.catalog_cell_km);
+  geo::CandidatePoolOptions pool_options;
+  pool_options.pool_size = so.catalog_pool_size;
+  const geo::CandidateGenerator gen(index, pool_options);
+  geo::SpatialGridIndex::QueryScratch scratch;
+  auto& c = *counts;
+
+  std::vector<Answer> answers;
+  for (const StreamOp& op : stream) {
+    if (op.kind == StreamOp::kAppend) {
+      store.Append(op.user, op.visit.poi, op.visit.timestamp);
+      ++c["serve/appends"];
+      serve::Session& s = store.GetOrCreate(op.user);
+      if (s.resident &&
+          static_cast<int64_t>(s.pois.size()) > so.max_seq_len) {
+        store.Evict(op.user);
+        ++c["serve/overflows"];
+      }
+      continue;
+    }
+    Answer a;
+    ++c["serve/requests"];
+    if (faults.ShouldEvictBeforeScore()) store.Evict(op.user);
+    serve::Session& s = store.GetOrCreate(op.user);
+    const auto len = static_cast<int64_t>(s.pois.size());
+    a.candidates = op.candidates;
+    const bool catalog = op.kind == StreamOp::kCatalog;
+    if (catalog) {
+      ++c["serve/catalog_requests"];
+      if (len == 0) {
+        a.code = StatusCode::kFailedPrecondition;
+        answers.push_back(a);
+        continue;
+      }
+      const std::unordered_set<int64_t> visited(s.pois.begin(), s.pois.end());
+      std::vector<int64_t> ids;
+      gen.Generate(ds.poi_coords[static_cast<size_t>(s.pois.back())],
+                   [&visited](int64_t id) { return !visited.contains(id + 1); },
+                   &scratch, &ids);
+      a.candidates.clear();
+      for (int64_t id : ids) a.candidates.push_back(id + 1);
+      if (a.candidates.empty()) {
+        answers.push_back(a);
+        continue;
+      }
+    }
+    const int64_t n = std::min(len, so.max_seq_len);
+    a.window.poi.assign(s.pois.end() - n, s.pois.end());
+    a.window.t.assign(s.timestamps.end() - n, s.timestamps.end());
+    std::vector<float> scores;
+    try {
+      if (len == 0) {
+        faults.MaybeThrowOnScore();
+        ++c["serve/cold_starts"];
+        scores.assign(a.candidates.size(), 0.0f);
+      } else if (len <= so.max_seq_len) {
+        const int64_t before = store.evictions();
+        store.MarkResident(s, s.state ? nullptr : engine.NewState());
+        c["serve/evictions"] += static_cast<uint64_t>(store.evictions() - before);
+        if (s.state->cached_len == 0 && len > 1) ++c["serve/cold_builds"];
+        faults.MaybeThrowOnScore();
+        scores = engine.Score(*s.state, s.pois, s.timestamps, a.candidates);
+        ++c["serve/incremental_scored"];
+      } else {
+        scores = model.ScoreBatch({&a.window}, {a.candidates})[0];
+        ++c["serve/fallback_scored"];
+      }
+    } catch (const serve::ServeFaultError&) {
+      ++c["serve/batch_failures"];
+      a.code = StatusCode::kInternal;
+      answers.push_back(a);
+      continue;
+    }
+    if (catalog) {
+      RankTopK(a.candidates, scores, kCatalogTopK, &a);
+    } else {
+      a.scores = std::move(scores);
+    }
+    answers.push_back(a);
+  }
+  for (auto it = counts->begin(); it != counts->end();) {
+    it = it->second == 0 ? counts->erase(it) : std::next(it);
+  }
+  return answers;
+}
+
+TEST_F(ServeTest, ConcurrentServingMatchesSequentialReplay) {
+  core::StisanModel model(ds_, TinyStisanOptions());  // full STiSAN
+  // Eight regular users plus one that crosses the serving window mid-batch.
+  const auto users = PickUsers(/*min_len=*/16, /*max_users=*/9);
+  ASSERT_EQ(users.size(), 9u);
+  const int64_t crosser = users.back();
+  const int64_t never_seen = 1'000'000;
+
+  serve::ServeOptions so;
+  so.start_worker = false;
+  so.max_sessions = 3;  // below the 9 active users: evictions mid-batch
+  so.max_seq_len = 10;
+  so.max_batch = 4;
+  so.num_pois = ds_.num_pois();
+  so.poi_coords = &ds_.poi_coords;
+  so.catalog_pool_size = 40;
+  serve::ServeFaultPlan plan;
+  plan.throw_every_scores = 5;
+  plan.evict_every_scores = 4;
+
+  // Rounds of (append, score) per user, every third request a catalog
+  // request. The first user appends and scores twice in a row per round,
+  // so consecutive scores share one cache state; the crosser appends three
+  // visits per round and passes max_seq_len right after its fourth score.
+  std::vector<StreamOp> stream;
+  std::vector<size_t> next(users.size(), 0);
+  int64_t requests = 0;
+  auto append = [&](size_t i) {
+    const auto& seq = ds_.user_seqs[static_cast<size_t>(users[i])];
+    stream.push_back({StreamOp::kAppend, users[i], seq[next[i]++], {}});
+  };
+  auto request = [&](int64_t user, uint64_t seed) {
+    const bool catalog = ++requests % 3 == 0;
+    stream.push_back({catalog ? StreamOp::kCatalog : StreamOp::kScore, user,
+                      {},
+                      catalog ? std::vector<int64_t>{}
+                              : Candidates(1 + static_cast<int64_t>(seed) %
+                                                   ds_.num_pois(),
+                                           12, seed)});
+  };
+  for (int round = 0; round < 5; ++round) {
+    for (size_t i = 0; i < users.size(); ++i) {
+      const int reps = i == 0 ? 2 : 1;
+      for (int rep = 0; rep < reps; ++rep) {
+        append(i);
+        request(users[i], 100 * round + 10 * i + rep);
+        if (users[i] == crosser) {
+          // Resident right after its own score: the window overflow
+          // releases its state.
+          append(i);
+          append(i);
+        }
+      }
+    }
+    if (round == 2) {
+      request(never_seen, 7);  // cold start (or its catalog failure)
+      request(never_seen, 8);
+      request(never_seen, 9);
+    }
+  }
+
+  std::vector<bool> catalog;
+  for (const StreamOp& op : stream) {
+    if (op.kind != StreamOp::kAppend) {
+      catalog.push_back(op.kind == StreamOp::kCatalog);
+    }
+  }
+  std::map<std::string, uint64_t> replay_counts;
+  const std::vector<Answer> replay =
+      SequentialReplay(model, ds_, so, plan, stream, &replay_counts);
+  ASSERT_EQ(static_cast<int64_t>(replay.size()), requests);
+  for (const char* path :
+       {"serve/evictions", "serve/cold_builds", "serve/overflows",
+        "serve/fallback_scored", "serve/batch_failures",
+        "serve/catalog_requests", "serve/cold_starts"}) {
+    EXPECT_TRUE(replay_counts.contains(path)) << path << " never taken";
+  }
+
+  for (int64_t threads : {1, 4}) {
+    kernels::SetNumThreads(threads);
+    obs::ResetAllForTesting();
+    serve::ServeFaultInjector injector;
+    injector.SetPlan(plan);
+    so.fault_injector = &injector;
+    serve::RecommendService service(&model, so);
+    std::vector<std::future<serve::ScoreResult>> futures;
+    for (const StreamOp& op : stream) {
+      if (op.kind == StreamOp::kAppend) {
+        ASSERT_TRUE(
+            service.Append(op.user, op.visit.poi, op.visit.timestamp).ok());
+      } else if (op.kind == StreamOp::kScore) {
+        futures.push_back(service.ScoreAsync(op.user, op.candidates));
+      } else {
+        futures.push_back(service.RankCatalogAsync(op.user, kCatalogTopK));
+      }
+    }
+    const uint64_t tasks_before = kernels::GlobalPool().tasks_submitted();
+    ASSERT_EQ(service.Pump(), stream.size());  // one batch
+    // Each of the nine users with incremental scores ran as one pool task
+    // (none at one thread, where the worker runs them itself); the
+    // fallback's tiny ScoreBatch forwards do not split.
+    EXPECT_EQ(kernels::GlobalPool().tasks_submitted() - tasks_before,
+              threads == 1 ? 0u : users.size())
+        << "threads=" << threads;
+
+    for (size_t r = 0; r < futures.size(); ++r) {
+      serve::ScoreResult got = futures[r].get();
+      Answer served;
+      served.code = got.status.code();
+      served.scores = std::move(got.scores);
+      served.pois = std::move(got.pois);
+      EXPECT_EQ(served, replay[r]) << "threads=" << threads << " request=" << r;
+      if (served.code != StatusCode::kOk || replay[r].candidates.empty()) {
+        continue;
+      }
+      // The oracle: a cold forward on the arrival-time window (all zeros
+      // for a user without history).
+      Answer want;
+      if (replay[r].window.poi.empty()) {
+        want.scores.assign(replay[r].candidates.size(), 0.0f);
+      } else {
+        want.scores = model.Score(replay[r].window, replay[r].candidates);
+        if (catalog[r]) {
+          RankTopK(replay[r].candidates, std::vector<float>(want.scores),
+                   kCatalogTopK, &want);
+        }
+      }
+      EXPECT_EQ(served.scores, want.scores)
+          << "threads=" << threads << " request=" << r;
+      EXPECT_EQ(served.pois, want.pois)
+          << "threads=" << threads << " request=" << r;
+    }
+    EXPECT_EQ(ServeCounters(), replay_counts) << "threads=" << threads;
   }
 }
 

@@ -1,15 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
-#include <stdexcept>
-#include <thread>
 
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace stisan {
 namespace {
@@ -219,130 +215,6 @@ TEST(StringTest, ParseInt64) {
 TEST(StringTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
-}
-
-// ---- ParallelFor chunking ----------------------------------------------------
-
-TEST(ParallelForTest, ZeroIterationsNeverTouchesPool) {
-  ThreadPool pool(2);
-  bool called = false;
-  ParallelFor(pool, 0, [&called](int64_t) { called = true; });
-  EXPECT_FALSE(called);
-  ParallelFor(pool, -5, [&called](int64_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelForTest, SingleIterationRunsInline) {
-  // n=1 collapses to one chunk; it must execute on the calling thread, not
-  // through the queue (avoids wakeup latency and, for a one-thread pool
-  // driven from a worker, deadlock).
-  ThreadPool pool(4);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  ParallelFor(pool, 1, [&ran_on](int64_t) {
-    ran_on = std::this_thread::get_id();
-  });
-  EXPECT_EQ(ran_on, caller);
-}
-
-TEST(ParallelForTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int64_t> sum{0};
-  bool off_thread = false;
-  ParallelFor(pool, 100, [&](int64_t i) {
-    if (std::this_thread::get_id() != caller) off_thread = true;
-    sum += i;
-  });
-  EXPECT_FALSE(off_thread);
-  EXPECT_EQ(sum.load(), 100 * 99 / 2);
-}
-
-TEST(ParallelForTest, CoversAllIndicesExactlyOnce) {
-  ThreadPool pool(4);
-  // Sizes around chunk boundaries: chunks = min(n, threads*4) = min(n, 16).
-  for (int64_t n : {1, 2, 15, 16, 17, 257}) {
-    std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
-    for (auto& h : hits) h = 0;
-    ParallelFor(pool, n, [&hits](int64_t i) { hits[i]++; });
-    for (int64_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-// ---- Exception safety --------------------------------------------------------
-
-TEST(ThreadPoolTest, WaitRethrowsTaskException) {
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  try {
-    pool.Wait();
-    FAIL() << "expected Wait() to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom");
-  }
-  // The exception slot is cleared and in_flight_ drained back to zero: the
-  // pool stays usable and a second Wait() neither deadlocks nor rethrows.
-  pool.Wait();
-  std::atomic<int> ran{0};
-  pool.Submit([&ran] { ran++; });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, AllTasksRunEvenWhenEveryOneThrows) {
-  ThreadPool pool(4);
-  std::atomic<int> started{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&started] {
-      started++;
-      throw std::runtime_error("boom");
-    });
-  }
-  // Only the first exception survives; the in-flight count must still reach
-  // zero (pre-fix, the decrement was skipped on throw and Wait() hung).
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(started.load(), 32);
-  pool.Wait();  // drained and cleared
-}
-
-TEST(ThreadPoolTest, TaskCountersTrackSubmissions) {
-  ThreadPool pool(2);
-  const uint64_t submitted0 = pool.tasks_submitted();
-  const uint64_t completed0 = pool.tasks_completed();
-  for (int i = 0; i < 8; ++i) pool.Submit([] {});
-  pool.Wait();
-  EXPECT_EQ(pool.tasks_submitted() - submitted0, 8u);
-  EXPECT_EQ(pool.tasks_completed() - completed0, 8u);
-}
-
-TEST(ParallelForTest, BodyExceptionRethrownOnCallingThread) {
-  ThreadPool pool(4);
-  // Throw at the last index of the last chunk so every index still runs;
-  // other chunks are never cancelled.
-  std::atomic<int64_t> visited{0};
-  try {
-    ParallelFor(pool, 64, [&visited](int64_t i) {
-      visited++;
-      if (i == 63) throw std::invalid_argument("bad index");
-    });
-    FAIL() << "expected ParallelFor to rethrow";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "bad index");
-  }
-  EXPECT_EQ(visited.load(), 64);
-  // Pool reusable afterwards.
-  std::atomic<int64_t> sum{0};
-  ParallelFor(pool, 10, [&sum](int64_t i) { sum += i; });
-  EXPECT_EQ(sum.load(), 45);
-}
-
-TEST(ParallelForTest, InlineChunkExceptionPropagatesDirectly) {
-  // n=1 collapses to the inline path (no pool involvement): the exception
-  // must still reach the caller.
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      ParallelFor(pool, 1, [](int64_t) { throw std::runtime_error("x"); }),
-      std::runtime_error);
 }
 
 }  // namespace
