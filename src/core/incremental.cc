@@ -60,10 +60,11 @@ int64_t IncrementalScorer::Sync(IncrementalState& state,
         std::to_string(state.cached_len) +
         " inconsistent with history length " + std::to_string(n));
   }
-
   if (!state.embed_cache.defined()) {
-    state.embed_cache = Tensor::Zeros({max_seq_len_, model_->model_dim()});
+    throw std::logic_error(
+        "IncrementalScorer::Sync: state not created by NewState");
   }
+
   // Embedding and raw interval rows extend monotonically under appends.
   for (int64_t i = state.cached_len; i < n; ++i) {
     const auto k = static_cast<size_t>(i);

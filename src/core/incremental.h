@@ -56,11 +56,11 @@ class IncrementalScorer {
  public:
   IncrementalScorer(StisanModel* model, int64_t max_seq_len);
 
-  /// A fresh state whose embedding cache (the [max_seq_len, d] buffer the
-  /// first Sync would otherwise allocate) is allocated here. A service that
-  /// creates states on one thread and scores them on others thus keeps
-  /// that long-lived buffer in the creating thread's malloc arena instead
-  /// of spreading it over every scoring thread's arena.
+  /// A fresh state with its [max_seq_len, d] embedding cache allocated.
+  /// Sync and Score accept only states made here. A service that creates
+  /// states on one thread and scores them on others thus keeps that
+  /// long-lived buffer in the creating thread's malloc arena instead of
+  /// spreading it over every scoring thread's arena.
   std::unique_ptr<IncrementalState> NewState() const;
 
   /// Advances the state's caches to cover the full history (pois.size()

@@ -29,6 +29,8 @@
 //
 // So the session store, the LRU and the counters see exactly the
 // sequential op order, and each request's scores come from one thread.
+// Futures may resolve out of arrival order, within a user too: a batch's
+// incremental scores resolve after every answer its sequencing gave.
 //
 // Overload safety (DESIGN.md §15): every request resolves — with scores or
 // with a typed util::Status — and no input, fault, or load level crashes

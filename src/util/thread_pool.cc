@@ -115,13 +115,8 @@ void ThreadPool::WorkerLoop() {
 void ParallelFor(ThreadPool& pool, int64_t n,
                  const std::function<void(int64_t)>& fn) {
   if (n <= 0) return;  // nothing to do; never touch the pool
-  // Chunk to limit queue churn.
+  // Chunk to limit queue churn; Run decides whether the chunks go inline.
   const int64_t chunks = std::min<int64_t>(n, pool.num_threads() * 4);
-  if (chunks <= 1 || pool.num_threads() <= 1 || InSerialRegion()) {
-    // One chunk: submitting it would only add queue/wakeup latency.
-    for (int64_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
   const int64_t per_chunk = (n + chunks - 1) / chunks;
   pool.Run((n + per_chunk - 1) / per_chunk, [n, per_chunk, &fn](int64_t c) {
     const int64_t end = std::min(n, (c + 1) * per_chunk);

@@ -85,10 +85,11 @@ class ThreadPool {
 
 /// Runs fn(i) for i in [0, n) across the pool in at most 4 chunks per
 /// thread; blocks until done. fn must be safe to call concurrently for
-/// distinct i. One chunk, a one-thread pool, or a caller inside a serial
-/// region runs the loop on the calling thread. If any fn(i) throws, the
-/// other chunks still run, and the first exception is rethrown here on the
-/// calling thread.
+/// distinct i. The chunks are one ThreadPool::Run call, so its inline rule
+/// applies: one chunk, a one-thread pool, or a caller inside a serial
+/// region runs them in order on the calling thread. If any fn(i) throws,
+/// the other chunks still run, and the first exception is rethrown here on
+/// the calling thread.
 void ParallelFor(ThreadPool& pool, int64_t n,
                  const std::function<void(int64_t)>& fn);
 

@@ -298,6 +298,9 @@ TEST_F(ServeRobustnessTest, EngineEntryGuardsThrowInsteadOfAborting) {
   EXPECT_THROW(engine.Sync(*state, long_pois, long_ts), std::length_error);
 
   EXPECT_THROW(engine.Score(*state, {}, {}, {1, 2}), std::invalid_argument);
+
+  core::IncrementalState hand_made;  // no embedding cache: not from NewState
+  EXPECT_THROW(engine.Sync(hand_made, {1}, {1.0}), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
