@@ -1,17 +1,28 @@
-// Microbenchmark of the evaluation pipeline: per-instance scoring cost of
+// Microbenchmark of the evaluation pipeline.
+//
+// BM_EvaluateSequential / BM_EvaluateBatched: per-instance scoring cost of
 // eval::Evaluate through the legacy per-instance Scorer path vs the batched
-// BatchScorer path at batch sizes {1, 8, 32}. One kernel thread throughout,
-// so the numbers isolate the batching win (fused padded forwards, fewer
-// kernel dispatches) from thread-level parallelism.
+// BatchScorer path at batch sizes {1, 8, 32}, n = 16. One kernel thread
+// throughout, so the numbers isolate the batching win (fused padded
+// forwards, fewer kernel dispatches) from thread-level parallelism.
+//
+// BM_EvaluatePool: wall time of eval::Evaluate at the benchmark harness's
+// evaluation shape (perfbench serve_rerank: the Gowalla-like preset at
+// scale 1.0, n = 100, default StisanOptions so d = 32, batch 32, 100
+// negatives) at one kernel thread and at the default pool (threads:0 =
+// hardware concurrency), where each batch runs one sub-batch per pool
+// thread.
 //
 // Emit machine-readable results with:
 //   ./bench_micro_eval --benchmark_format=json
 //
 // Throughput appears as items_per_second (items = eval instances); per-
-// instance CPU time is cpu_time / instances ("instances" counter).
+// instance time is cpu_time (or real_time for the pool rows) / instances
+// ("instances" counter).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "core/stisan.h"
@@ -30,20 +41,36 @@ struct EvalFixture {
   std::unique_ptr<core::StisanModel> model;
 };
 
+EvalFixture* MakeFixture(const data::SyntheticConfig& config,
+                         int64_t max_seq_len, size_t max_test,
+                         const core::StisanOptions& options) {
+  auto* f = new EvalFixture();
+  f->dataset = data::GenerateSynthetic(config);
+  f->split = data::TrainTestSplit(f->dataset, {.max_seq_len = max_seq_len});
+  if (f->split.test.size() > max_test) f->split.test.resize(max_test);
+  f->generator = std::make_unique<eval::CandidateGenerator>(f->dataset);
+  f->model = std::make_unique<core::StisanModel>(f->dataset, options);
+  return f;
+}
+
 EvalFixture& Fixture() {
   static EvalFixture* fx = [] {
-    auto* f = new EvalFixture();
-    f->dataset = data::GenerateSynthetic(data::GowallaLikeConfig(0.12));
-    f->split = data::TrainTestSplit(f->dataset, {.max_seq_len = 16});
-    if (f->split.test.size() > 64) f->split.test.resize(64);
-    f->generator = std::make_unique<eval::CandidateGenerator>(f->dataset);
     core::StisanOptions options;
     options.poi_dim = 16;
     options.geo.dim = 16;
     options.geo.fourier_dim = 8;
     options.num_blocks = 2;
-    f->model = std::make_unique<core::StisanModel>(f->dataset, options);
-    return f;
+    return MakeFixture(data::GowallaLikeConfig(0.12), 16, 64, options);
+  }();
+  return *fx;
+}
+
+// perfbench's serve_rerank evaluation: every test instance of the preset.
+EvalFixture& HarnessShapeFixture() {
+  static EvalFixture* fx = [] {
+    core::StisanOptions options;
+    options.knn_negatives = false;  // no Fit here; skip the KNN table
+    return MakeFixture(data::GowallaLikeConfig(1.0), 100, SIZE_MAX, options);
   }();
   return *fx;
 }
@@ -55,8 +82,8 @@ eval::EvalOptions Options(int64_t batch_size) {
   return options;
 }
 
-void Finish(benchmark::State& state) {
-  const auto instances = static_cast<int64_t>(Fixture().split.test.size());
+void Finish(benchmark::State& state, const EvalFixture& fx) {
+  const auto instances = static_cast<int64_t>(fx.split.test.size());
   state.SetItemsProcessed(state.iterations() * instances);
   state.counters["instances"] = static_cast<double>(instances);
 }
@@ -75,7 +102,7 @@ void BM_EvaluateSequential(benchmark::State& state) {
     auto acc = eval::Evaluate(scorer, fx.split.test, *fx.generator, options);
     benchmark::DoNotOptimize(acc.count());
   }
-  Finish(state);
+  Finish(state, fx);
 }
 BENCHMARK(BM_EvaluateSequential)->Unit(benchmark::kMillisecond);
 
@@ -90,10 +117,27 @@ void BM_EvaluateBatched(benchmark::State& state) {
                               fx.split.test, *fx.generator, options);
     benchmark::DoNotOptimize(acc.count());
   }
-  Finish(state);
+  Finish(state, fx);
 }
 BENCHMARK(BM_EvaluateBatched)->Arg(1)->Arg(8)->Arg(32)
     ->Unit(benchmark::kMillisecond);
+
+/// The batched pipeline at the harness's evaluation shape, on range(0)
+/// kernel threads (0 = the default pool). Wall time, since the work runs
+/// on the pool's threads.
+void BM_EvaluatePool(benchmark::State& state) {
+  auto& fx = HarnessShapeFixture();
+  kernels::SetNumThreads(state.range(0));
+  const auto options = Options(32);
+  for (auto _ : state) {
+    auto acc = eval::Evaluate(static_cast<eval::BatchScorer&>(*fx.model),
+                              fx.split.test, *fx.generator, options);
+    benchmark::DoNotOptimize(acc.count());
+  }
+  Finish(state, fx);
+}
+BENCHMARK(BM_EvaluatePool)->ArgName("threads")->Arg(1)->Arg(0)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace stisan::bench

@@ -18,9 +18,10 @@
 //
 // Each benchmark iteration serves kReps requests at growing history
 // lengths n..n+kReps-1 (the steady-state serving pattern) over a history
-// no earlier iteration has seen: a production request always carries a
-// new history, so the relation LRU and the TAPE LRU must miss. A timed
-// request that hits either LRU fails the benchmark. Per-request wall
+// no earlier iteration has seen, as a production request always carries a
+// new history. Inference never consults the relation or TAPE LRU (they
+// serve training only); a timed request that hits either fails the
+// benchmark. Per-request wall
 // latencies are accumulated across iterations and reported as p50_us /
 // p99_us counters.
 

@@ -159,12 +159,18 @@ Tensor CachedScaledRelation(const std::vector<int64_t>& pois,
                             const std::vector<geo::GeoPoint>& coords,
                             int64_t first_real,
                             const RelationOptions& options) {
+  const auto build = [&] {
+    return SoftmaxScaleRelation(
+        BuildRelationMatrix(pois, timestamps, coords, first_real, options),
+        first_real);
+  };
+  // Inference builds directly: its windows rarely repeat, and an insert
+  // from a pool thread would park the entry in that thread's malloc arena.
+  if (!internal::GradEnabled()) return build();
   RelationKey key{pois,       timestamps,      coords,
                   first_real, options.kt_days, options.kd_km};
   if (auto hit = RelationCache().Get(key)) return *hit;
-  Tensor scaled = SoftmaxScaleRelation(
-      BuildRelationMatrix(pois, timestamps, coords, first_real, options),
-      first_real);
+  Tensor scaled = build();
   RelationCache().Put(std::move(key), scaled);
   return scaled;
 }

@@ -6,6 +6,7 @@
 #include "core/taad.h"
 #include "train/loss.h"
 #include "train/trainer.h"
+#include "tensor/kernels.h"
 #include "tensor/optimizer.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -151,7 +152,7 @@ Tensor StisanModel::Encode(const std::vector<int64_t>& pois,
 }
 
 Tensor StisanModel::EncodeBatch(
-    const std::vector<const data::EvalInstance*>& instances, Rng& rng) const {
+    std::span<const data::EvalInstance* const> instances, Rng& rng) const {
   const int64_t bsz = static_cast<int64_t>(instances.size());
   const int64_t n = static_cast<int64_t>(instances[0]->poi.size());
 
@@ -271,18 +272,40 @@ std::vector<float> StisanModel::Score(const data::EvalInstance& instance,
 std::vector<std::vector<float>> StisanModel::ScoreBatch(
     const std::vector<const data::EvalInstance*>& instances,
     const std::vector<std::vector<int64_t>>& candidates) {
-  NoGradGuard no_grad;
+  STISAN_CHECK_EQ(candidates.size(), instances.size());
   SetTraining(false);
   const int64_t bsz = static_cast<int64_t>(instances.size());
-  STISAN_CHECK_EQ(candidates.size(), instances.size());
-  if (bsz == 0) return {};
+  // One contiguous sub-batch per pool thread, each a padded forward run
+  // single-threaded inside its Run task (a serial region). An instance's
+  // scores never depend on its batch, so the split moves no score; Run
+  // keeps B = 1, a one-thread pool and serial-region callers inline.
+  const int64_t parts = std::min(bsz, kernels::NumThreads());
+  std::vector<std::vector<float>> out(static_cast<size_t>(bsz));
+  kernels::GlobalPool().Run(parts, [&](int64_t p) {
+    NoGradGuard no_grad;  // grad mode is thread-local
+    const auto begin = static_cast<size_t>(p * bsz / parts);
+    const auto end = static_cast<size_t>((p + 1) * bsz / parts);
+    std::vector<std::vector<float>> scores =
+        ScorePadded(std::span(instances).subspan(begin, end - begin),
+                    std::span(candidates).subspan(begin, end - begin));
+    std::move(scores.begin(), scores.end(), out.begin() + begin);
+  });
+  return out;
+}
+
+std::vector<std::vector<float>> StisanModel::ScorePadded(
+    std::span<const data::EvalInstance* const> instances,
+    std::span<const std::vector<int64_t>> candidates) {
+  const int64_t bsz = static_cast<int64_t>(instances.size());
   const int64_t n = static_cast<int64_t>(instances[0]->poi.size());
   // Mixed-length batches (length-1 deltas from the serving fallback path,
   // ragged ad-hoc callers) cannot share one padded forward; degrade to
   // per-instance scoring instead of CHECK-failing inside EncodeBatch.
   for (const auto* inst : instances) {
     if (static_cast<int64_t>(inst->poi.size()) != n) {
-      return SequentialRecommender::ScoreBatch(instances, candidates);
+      return SequentialRecommender::ScoreBatch(
+          {instances.begin(), instances.end()},
+          {candidates.begin(), candidates.end()});
     }
   }
 

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,9 +68,12 @@ class StisanModel : public models::SequentialRecommender, public nn::Module {
   std::vector<float> Score(const data::EvalInstance& instance,
                            const std::vector<int64_t>& candidates) override;
 
-  /// Batched scoring: one padded forward pass over the whole batch (shared
-  /// padded length, per-instance relation bias / mask / TAPE stacked along
-  /// a leading batch dim). Per-instance scores match Score exactly.
+  /// Batched scoring: the batch is cut into min(B, kernels::NumThreads())
+  /// contiguous sub-batches, each one padded forward (shared padded
+  /// length, per-instance relation bias / mask / TAPE stacked along a
+  /// leading batch dim) run single-threaded as one task of the kernel
+  /// pool. Per-instance scores match Score exactly, so the split and the
+  /// thread count never move a score.
   std::vector<std::vector<float>> ScoreBatch(
       const std::vector<const data::EvalInstance*>& instances,
       const std::vector<std::vector<int64_t>>& candidates) override;
@@ -146,8 +150,15 @@ class StisanModel : public models::SequentialRecommender, public nn::Module {
 
   /// Batched encoder pass over instances sharing a padded length n:
   /// returns [B, n, d]; slice b equals Encode on instance b.
-  Tensor EncodeBatch(const std::vector<const data::EvalInstance*>& instances,
+  Tensor EncodeBatch(std::span<const data::EvalInstance* const> instances,
                      Rng& rng) const;
+
+  /// One ScoreBatch sub-batch: a single padded forward when every instance
+  /// has the same length, per-instance Score otherwise. The caller holds
+  /// a NoGradGuard.
+  std::vector<std::vector<float>> ScorePadded(
+      std::span<const data::EvalInstance* const> instances,
+      std::span<const std::vector<int64_t>> candidates);
 
   /// The decode stage: scores [M] of `candidates` against an encoded
   /// sequence f [n, d], row r decoded at step step_of_row[r] (TAAD over

@@ -113,6 +113,8 @@ Tensor ApplyTape(const Tensor& x, const std::vector<double>& timestamps,
 
 Tensor CachedSinusoidalEncoding(const std::vector<double>& positions,
                                 int64_t dim) {
+  // Training only, as for CachedScaledRelation.
+  if (!internal::GradEnabled()) return nn::SinusoidalEncoding(positions, dim);
   PositionsKey key{positions, dim};
   if (auto hit = TapeCache().Get(key)) return *hit;
   Tensor table = nn::SinusoidalEncoding(positions, dim);

@@ -44,9 +44,10 @@ World BuildWorld(const SyntheticConfig& cfg, Rng& rng,
   std::vector<int64_t> rank(static_cast<size_t>(cfg.num_pois));
   for (size_t i = 0; i < rank.size(); ++i) rank[i] = static_cast<int64_t>(i);
   rng.Shuffle(rank);
+  const ZipfSampler cluster_zipf(static_cast<size_t>(cfg.num_clusters),
+                                 cfg.cluster_zipf_alpha);
   for (int64_t p = 1; p <= cfg.num_pois; ++p) {
-    const size_t cluster = rng.Zipf(
-        static_cast<size_t>(cfg.num_clusters), cfg.cluster_zipf_alpha);
+    const size_t cluster = cluster_zipf.Sample(rng);
     const geo::GeoPoint center = world.cluster_centers[cluster];
     poi_coords->push_back(geo::OffsetKm(
         center, rng.Normal(0.0, cfg.cluster_radius_km),

@@ -1,9 +1,11 @@
 // Batched scoring interface for the evaluation pipeline.
 //
 // A BatchScorer scores a whole batch of evaluation instances against their
-// candidate lists in one call, letting models run a single padded forward
-// pass (one op graph per layer instead of one per instance). The evaluator
-// streams fixed-size batches through it; see eval::Evaluate.
+// candidate lists in one call, letting models run padded forward passes
+// (one op graph per layer instead of one per instance). STiSAN splits the
+// batch into one sub-batch per kernel-pool thread and runs those forwards
+// side by side. The evaluator streams fixed-size batches through it; see
+// eval::Evaluate.
 //
 // The interface is header-only so implementers (src/models, src/core) can
 // inherit it without adding a library dependency on stisan_eval.
@@ -18,7 +20,8 @@ namespace stisan::eval {
 
 /// Scores batches of instances. Implementations must be deterministic: the
 /// scores for an instance may not depend on the other instances in its
-/// batch, so any batch size yields the same per-instance scores.
+/// batch, so any batch size — or any split of a batch into sub-batches —
+/// yields the same per-instance scores.
 class BatchScorer {
  public:
   virtual ~BatchScorer() = default;

@@ -4,9 +4,11 @@
 //
 // The pipeline is batched and parallel: candidate lists are generated
 // concurrently on the kernel thread pool and instances are streamed through
-// a BatchScorer in fixed-size batches. Metrics are accumulated in instance
-// order, so the result is bit-identical to a sequential evaluation at any
-// thread count and batch size.
+// a BatchScorer in fixed-size batches, one call at a time (STiSAN's
+// ScoreBatch runs each batch as one single-threaded sub-batch forward per
+// pool thread). Metrics are accumulated in instance order, so the result
+// is bit-identical to a sequential evaluation at any thread count and
+// batch size.
 
 #pragma once
 

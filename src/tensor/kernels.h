@@ -8,11 +8,13 @@
 // pool has more than one thread, and the caller is outside a serial region.
 //
 // Nesting: code that runs on a pool worker (a ParallelFor chunk, a
-// ThreadPool::Run task such as one serving user's scores) is in a serial
-// region (util/thread_pool.h), so every kernel it reaches runs inline on
-// that thread. A task therefore never waits on the pool it runs on, and
-// the serving runtime gets its parallelism from running requests side by
-// side rather than from splitting each request's small ops.
+// ThreadPool::Run task such as one serving user's scores or one sub-batch
+// of StisanModel::ScoreBatch) is in a serial region (util/thread_pool.h),
+// so every kernel it reaches runs inline on that thread. A task therefore
+// never waits on the pool it runs on, and serving and batched inference
+// get their parallelism from running requests or sub-batches side by side
+// rather than from splitting each forward's small ops; only training and
+// direct single-instance calls still split.
 //
 // Determinism: parallelism is only ever over *disjoint output rows/ranges* —
 // each output element is produced by exactly one thread using the same

@@ -104,25 +104,27 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-size_t Rng::Zipf(size_t n, double alpha) {
+ZipfSampler::ZipfSampler(size_t n, double alpha) : n_(n), alpha_(alpha) {
   STISAN_CHECK_GT(n, 0u);
-  // Inverse-CDF on the fly would be O(n); use rejection-free cumulative
-  // search with cached normaliser for small n, or approximate for large n
-  // via the standard Zipf rejection method.
+  // Cumulative search over the weight table for small n; the standard
+  // Zipf rejection method for large n.
   if (n <= 4096) {
-    std::vector<double> w(n);
+    weights_.resize(n);
     for (size_t i = 0; i < n; ++i)
-      w[i] = std::pow(static_cast<double>(i + 1), -alpha);
-    return Categorical(w);
+      weights_[i] = std::pow(static_cast<double>(i + 1), -alpha);
   }
+}
+
+size_t ZipfSampler::Sample(Rng& rng) const {
+  if (!weights_.empty()) return rng.Categorical(weights_);
   // Rejection sampling (Devroye) for large n.
-  const double b = std::pow(2.0, alpha - 1.0);
+  const double b = std::pow(2.0, alpha_ - 1.0);
   for (;;) {
-    const double u = Uniform();
-    const double v = Uniform();
-    const double x = std::floor(std::pow(u, -1.0 / (alpha - 1.0)));
-    if (x > static_cast<double>(n) || x < 1.0) continue;
-    const double t = std::pow(1.0 + 1.0 / x, alpha - 1.0);
+    const double u = rng.Uniform();
+    const double v = rng.Uniform();
+    const double x = std::floor(std::pow(u, -1.0 / (alpha_ - 1.0)));
+    if (x > static_cast<double>(n_) || x < 1.0) continue;
+    const double t = std::pow(1.0 + 1.0 / x, alpha_ - 1.0);
     if (v * x * (t - 1.0) / (b - 1.0) <= t / b)
       return static_cast<size_t>(x) - 1;
   }

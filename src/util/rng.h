@@ -53,9 +53,6 @@ class Rng {
   /// Requires at least one strictly positive weight.
   size_t Categorical(const std::vector<double>& weights);
 
-  /// Returns a power-law (Zipf-like) index in [0, n): P(i) ~ (i+1)^-alpha.
-  size_t Zipf(size_t n, double alpha);
-
   /// Shuffles a vector in place (Fisher-Yates).
   template <typename T>
   void Shuffle(std::vector<T>& v) {
@@ -85,6 +82,21 @@ class Rng {
   uint64_t s_[4];
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;
+};
+
+/// Power-law (Zipf-like) indices in [0, n): P(i) ~ (i+1)^-alpha. Small n
+/// draws from an n-entry weight table built once, with one Categorical
+/// call per sample; large n uses rejection sampling.
+class ZipfSampler {
+ public:
+  ZipfSampler(size_t n, double alpha);
+
+  size_t Sample(Rng& rng) const;
+
+ private:
+  size_t n_;
+  double alpha_;
+  std::vector<double> weights_;  // empty when n is above the table limit
 };
 
 }  // namespace stisan

@@ -1,6 +1,7 @@
 // A minimal fixed-size thread pool with a ParallelFor convenience. The
 // kernel backend splits large ops across it, evaluation generates
-// candidates on it, and the serving runtime runs one task per user on it.
+// candidates on it, batched scoring runs one sub-batch per thread on it,
+// and the serving runtime runs one task per user on it.
 
 #pragma once
 

@@ -16,9 +16,12 @@
 //    evictions, window overflow, catalog requests and injected faults.
 // 4. Session-store property/fuzz: randomized append/evict/lookup/resident
 //    interleavings against a naive map-of-vectors + LRU-deque reference.
-// 5. Latent-bug regressions: single-token and mixed-length batches through
-//    eval::BatchScorer implementations (StisanModel::ScoreBatch used to
-//    CHECK-fail on ragged inputs).
+// 5. Batched inference: StisanModel::ScoreBatch equals Score bit for bit
+//    at pool sizes {1, 4} and batch sizes {1, 3, 7, 32} (one sub-batch per
+//    pool thread, uneven splits included), inference never touches the
+//    relation/TAPE memo caches while training still hits them, and the
+//    single-token / mixed-length regressions (StisanModel::ScoreBatch used
+//    to CHECK-fail on ragged inputs).
 
 #include <gtest/gtest.h>
 
@@ -34,6 +37,7 @@
 
 #include "core/incremental.h"
 #include "core/stisan.h"
+#include "data/preprocess.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "geo/candidate_gen.h"
@@ -864,11 +868,112 @@ TEST(SessionStoreTest, FuzzAgainstNaiveReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Latent-bug regressions: eval::BatchScorer implementations and
+// Batched inference and latent-bug regressions: eval::BatchScorer
+// implementations, the per-thread sub-batch split, the memo-cache rule and
 // single-token / ragged batches.
 // ---------------------------------------------------------------------------
 
 class BatchEdgeTest : public ServeTest {};
+
+TEST_F(BatchEdgeTest, ScoreBatchMatchesScoreAtEveryPoolAndBatchSize) {
+  // Eval instances share one padded length; short histories carry head
+  // padding (first_real > 0). Candidate lists of 9..12 exercise the
+  // candidate padding inside each sub-batch.
+  const data::Split split = data::TrainTestSplit(ds_, {.max_seq_len = 8});
+  ASSERT_GE(split.test.size(), 32u);
+  std::vector<const data::EvalInstance*> ptrs;
+  std::vector<std::vector<int64_t>> cands;
+  for (size_t i = 0; i < 32; ++i) {
+    ptrs.push_back(&split.test[i]);
+    cands.push_back(Candidates(split.test[i].target, 9 + i % 4, 700 + i));
+  }
+  for (const StisanConfig& config : ServingConfigs()) {
+    core::StisanModel model(ds_, config.opts);
+    std::vector<std::vector<float>> single;
+    for (size_t i = 0; i < ptrs.size(); ++i) {
+      single.push_back(model.Score(*ptrs[i], cands[i]));
+    }
+    for (int64_t threads : {1, 4}) {
+      kernels::SetNumThreads(threads);
+      for (size_t batch : {1u, 3u, 7u, 32u}) {
+        const std::vector<const data::EvalInstance*> sub(
+            ptrs.begin(), ptrs.begin() + static_cast<std::ptrdiff_t>(batch));
+        const std::vector<std::vector<int64_t>> sub_cands(
+            cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(batch));
+        const uint64_t tasks_before = kernels::GlobalPool().tasks_submitted();
+        const auto batched = model.ScoreBatch(sub, sub_cands);
+        // One pool task per sub-batch, min(B, threads) of them; B = 1 and
+        // a one-thread pool run inline.
+        const uint64_t want_tasks =
+            threads == 1 || batch == 1
+                ? 0u
+                : std::min<uint64_t>(batch, static_cast<uint64_t>(threads));
+        EXPECT_EQ(kernels::GlobalPool().tasks_submitted() - tasks_before,
+                  want_tasks)
+            << config.label << " threads=" << threads << " batch=" << batch;
+        ASSERT_EQ(batched.size(), batch);
+        for (size_t i = 0; i < batch; ++i) {
+          EXPECT_EQ(batched[i], single[i])
+              << config.label << " threads=" << threads << " batch=" << batch
+              << " instance=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(BatchEdgeTest, MemoCachesServeTrainingOnly) {
+  auto opts = TinyStisanOptions();  // full STiSAN: TAPE and relation on
+  opts.train.epochs = 2;
+  core::StisanModel model(ds_, opts);
+  const data::Split split = data::TrainTestSplit(ds_, {.max_seq_len = 8});
+  ASSERT_GE(split.test.size(), 8u);
+  ASSERT_GE(split.train.size(), 12u);
+  const auto relation_before = core::GetRelationCacheStats();
+  const auto tape_before = core::GetTapeCacheStats();
+  auto expect_untouched = [&](const char* what) {
+    const auto relation = core::GetRelationCacheStats();
+    const auto tape = core::GetTapeCacheStats();
+    EXPECT_EQ(relation.hits, relation_before.hits) << what;
+    EXPECT_EQ(relation.misses, relation_before.misses) << what;
+    EXPECT_EQ(tape.hits, tape_before.hits) << what;
+    EXPECT_EQ(tape.misses, tape_before.misses) << what;
+  };
+
+  // Batched scoring, twice over the same instances, at both pool sizes.
+  std::vector<const data::EvalInstance*> ptrs;
+  std::vector<std::vector<int64_t>> cands;
+  for (size_t i = 0; i < 8; ++i) {
+    ptrs.push_back(&split.test[i]);
+    cands.push_back(Candidates(split.test[i].target, 10, 800 + i));
+  }
+  for (int64_t threads : {1, 4}) {
+    kernels::SetNumThreads(threads);
+    model.ScoreBatch(ptrs, cands);
+    model.ScoreBatch(ptrs, cands);
+  }
+  expect_untouched("ScoreBatch");
+
+  // The serving engine, at every prefix of one history.
+  const auto users = PickUsers(/*min_len=*/6, /*max_users=*/1);
+  ASSERT_EQ(users.size(), 1u);
+  const auto& seq = ds_.user_seqs[static_cast<size_t>(users[0])];
+  core::IncrementalScorer engine(&model, /*max_seq_len=*/8);
+  auto state = engine.NewState();
+  std::vector<int64_t> pois;
+  std::vector<double> times;
+  for (size_t i = 0; i < 6; ++i) {
+    pois.push_back(seq[i].poi);
+    times.push_back(seq[i].timestamp);
+    engine.Score(*state, pois, times, cands[0]);
+  }
+  expect_untouched("IncrementalScorer::Score");
+
+  // Training still memoises: the second epoch revisits the first's windows.
+  model.Fit(ds_, {split.train.begin(), split.train.begin() + 12});
+  EXPECT_GT(core::GetRelationCacheStats().hits, relation_before.hits);
+  EXPECT_GT(core::GetTapeCacheStats().hits, tape_before.hits);
+}
 
 TEST_F(BatchEdgeTest, SingleTokenBatchesMatchPerInstanceScore) {
   core::StisanModel stisan(ds_, TinyStisanOptions());

@@ -7,15 +7,15 @@
 # Uses the asan/ubsan/tsan presets from CMakePresets.json (build trees
 # build-asan/, build-ubsan/ and build-tsan/). The asan/ubsan test presets
 # run every gtest label — "unit", "robustness", "fused", "obs", "serve",
-# "simd", "ranking" and "pool" — with halt_on_error, so each test runs once
-# per sanitizer; they skip the end-to-end CLI/tool smoke tests, whose
-# sanitized runtimes are excessive, and the "bench" checks of the benchmark
-# harness, which builds its own unsanitized worker. The tsan preset runs
-# only the concurrency-heavy "serve", "obs" and "pool" labels: worker-thread
-# handoffs, per-user scoring tasks on the kernel pool, admission
-# blocking/shedding, shutdown promise sweeps, the lock-free metrics
-# registry and the thread pool itself. `ctest --preset <name> -N` lists
-# each preset's tests.
+# "simd", "ranking", "pool" and "eval" — with halt_on_error, so each test
+# runs once per sanitizer; they skip the end-to-end CLI/tool smoke tests,
+# whose sanitized runtimes are excessive, and the "bench" checks of the
+# benchmark harness, which builds its own unsanitized worker. The tsan
+# preset runs only the concurrency-heavy "serve", "obs", "pool" and "eval"
+# labels: worker-thread handoffs, per-user scoring tasks and batched
+# sub-batch forwards on the kernel pool, admission blocking/shedding,
+# shutdown promise sweeps, the lock-free metrics registry and the thread
+# pool itself. `ctest --preset <name> -N` lists each preset's tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
