@@ -20,8 +20,14 @@
 //  - pool_size: mean stage-one pool size.
 //  - instances_per_s via SetItemsProcessed.
 //
-// The checked-in BENCH_ranking.json captures one JSON run:
-//   ./bench/bench_micro_ranking --benchmark_format=json > BENCH_ranking.json
+// The checked-in BENCH_ranking.json holds the aggregates (median, mean,
+// stddev, cv) of 5 repetitions at the default kernel pool, from the repo
+// root of a Release build (~3.5 min, ~10 s of it fixture set-up):
+//   ./build/bench/bench_micro_ranking --benchmark_repetitions=5
+//       --benchmark_report_aggregates_only=true --benchmark_format=json
+//       > BENCH_ranking.json
+// Read real_time: the pruned legs' stage one runs on the kernel pool, so
+// their cpu_time (and items_per_second) count only the calling thread.
 
 #include <benchmark/benchmark.h>
 

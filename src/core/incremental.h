@@ -49,9 +49,9 @@ struct IncrementalState {
 /// Scorer over a frozen model. The model must outlive the engine and stay
 /// in eval mode while serving (Score() re-asserts it). One engine may drive
 /// distinct states from several threads at once: the eval-mode forward
-/// only reads the model (it builds TAPE tables and relation matrices
-/// without the training memo caches), and the dropout Rng below is never
-/// drawn from. One state must not be used by two threads at once.
+/// only reads the model (it builds its TAPE tables and relation matrices
+/// into fresh tensors), and the dropout Rng below is never drawn from. One
+/// state must not be used by two threads at once.
 class IncrementalScorer {
  public:
   IncrementalScorer(StisanModel* model, int64_t max_seq_len);

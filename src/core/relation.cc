@@ -6,7 +6,6 @@
 #include "data/types.h"
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/lru_cache.h"
 
 namespace stisan::core {
 
@@ -103,80 +102,13 @@ Tensor BuildPaddedCausalMask(int64_t n, int64_t first_real) {
   return mask;
 }
 
-namespace {
-
-// Full content key of a relation-matrix request. Equality compares every
-// field; the hash (FNV-1a over the raw bytes) is only a bucket index.
-struct RelationKey {
-  std::vector<int64_t> pois;
-  std::vector<double> timestamps;
-  std::vector<geo::GeoPoint> coords;
-  int64_t first_real = 0;
-  double kt_days = 0.0;
-  double kd_km = 0.0;
-
-  bool operator==(const RelationKey& o) const {
-    return first_real == o.first_real && kt_days == o.kt_days &&
-           kd_km == o.kd_km && pois == o.pois && timestamps == o.timestamps &&
-           coords == o.coords;
-  }
-};
-
-struct RelationKeyHash {
-  size_t operator()(const RelationKey& k) const {
-    uint64_t h = Fnv1aBytes(k.pois.data(), k.pois.size() * sizeof(int64_t));
-    h = Fnv1aBytes(k.timestamps.data(), k.timestamps.size() * sizeof(double),
-                   h);
-    h = Fnv1aBytes(k.coords.data(), k.coords.size() * sizeof(geo::GeoPoint),
-                   h);
-    h = Fnv1aBytes(&k.first_real, sizeof(k.first_real), h);
-    h = Fnv1aBytes(&k.kt_days, sizeof(k.kt_days), h);
-    h = Fnv1aBytes(&k.kd_km, sizeof(k.kd_km), h);
-    return static_cast<size_t>(h);
-  }
-};
-
-// ~256 distinct windows cover the training sets this repo trains on; the
-// leaked singleton avoids static-destruction order races.
-// Hit/miss counts are polled by obs snapshots through callback gauges, so
-// the lookup path pays no extra increment.
-LruCache<RelationKey, Tensor, RelationKeyHash>& RelationCache() {
-  static auto* cache = [] {
-    auto* c = new LruCache<RelationKey, Tensor, RelationKeyHash>(256);
-    obs::RegisterCallbackGauge("relation/cache_hits",
-                               [c] { return double(c->hits()); });
-    obs::RegisterCallbackGauge("relation/cache_misses",
-                               [c] { return double(c->misses()); });
-    return c;
-  }();
-  return *cache;
-}
-
-}  // namespace
-
-Tensor CachedScaledRelation(const std::vector<int64_t>& pois,
-                            const std::vector<double>& timestamps,
-                            const std::vector<geo::GeoPoint>& coords,
-                            int64_t first_real,
-                            const RelationOptions& options) {
-  const auto build = [&] {
-    return SoftmaxScaleRelation(
-        BuildRelationMatrix(pois, timestamps, coords, first_real, options),
-        first_real);
-  };
-  // Inference builds directly: its windows rarely repeat, and an insert
-  // from a pool thread would park the entry in that thread's malloc arena.
-  if (!internal::GradEnabled()) return build();
-  RelationKey key{pois,       timestamps,      coords,
-                  first_real, options.kt_days, options.kd_km};
-  if (auto hit = RelationCache().Get(key)) return *hit;
-  Tensor scaled = build();
-  RelationCache().Put(std::move(key), scaled);
-  return scaled;
-}
-
-RelationCacheStats GetRelationCacheStats() {
-  return {RelationCache().hits(), RelationCache().misses()};
+Tensor ScaledRelation(const std::vector<int64_t>& pois,
+                      const std::vector<double>& timestamps,
+                      const std::vector<geo::GeoPoint>& coords,
+                      int64_t first_real, const RelationOptions& options) {
+  return SoftmaxScaleRelation(
+      BuildRelationMatrix(pois, timestamps, coords, first_real, options),
+      first_real);
 }
 
 }  // namespace stisan::core

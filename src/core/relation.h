@@ -78,29 +78,12 @@ Tensor SoftmaxScaleRelation(const Tensor& relation, int64_t first_real);
 /// rows still have one live key), else -1e9.
 Tensor BuildPaddedCausalMask(int64_t n, int64_t first_real);
 
-/// SoftmaxScaleRelation(BuildRelationMatrix(...)), memoised for training:
-/// the scaled relation matrix is a pure function of the window content,
-/// and training revisits the same windows every epoch, so while autograd
-/// records a graph an LRU keyed on the full (pois, timestamps, coords,
-/// first_real, options) tuple (exact equality, not just the hash) skips
-/// the O(n²) haversine/softmax rebuild. Under NoGradGuard (evaluation,
-/// serving) it builds directly with no lookup or insert: evaluation rarely
-/// repeats a window within the LRU's reach, and batched inference runs on
-/// pool threads whose malloc arenas would keep every inserted entry.
-/// Cached tensors are gradient-free and shared — callers must not mutate
-/// them.
-Tensor CachedScaledRelation(const std::vector<int64_t>& pois,
-                            const std::vector<double>& timestamps,
-                            const std::vector<geo::GeoPoint>& coords,
-                            int64_t first_real,
-                            const RelationOptions& options);
-
-/// Hit/miss counters of the relation LRU (for tests and benchmarks); only
-/// training lookups count.
-struct RelationCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-};
-RelationCacheStats GetRelationCacheStats();
+/// SoftmaxScaleRelation(BuildRelationMatrix(...)): the scaled [n, n]
+/// relation bias IAAB adds to a window's attention logits. Built afresh on
+/// every forward; it is parameter-free and O(n²).
+Tensor ScaledRelation(const std::vector<int64_t>& pois,
+                      const std::vector<double>& timestamps,
+                      const std::vector<geo::GeoPoint>& coords,
+                      int64_t first_real, const RelationOptions& options);
 
 }  // namespace stisan::core

@@ -106,9 +106,8 @@ Tensor StisanModel::RelationBias(const std::vector<int64_t>& pois,
                                  const std::vector<double>& timestamps,
                                  int64_t first_real) const {
   if (!UsesRelation()) return Tensor();
-  // LRU-cached: training revisits the same windows every epoch.
-  return CachedScaledRelation(pois, timestamps, WindowCoords(*dataset_, pois),
-                              first_real, options_.relation);
+  return ScaledRelation(pois, timestamps, WindowCoords(*dataset_, pois),
+                        first_real, options_.relation);
 }
 
 Tensor StisanModel::EncodeStage(const Tensor& rows,
@@ -126,7 +125,7 @@ Tensor StisanModel::EncodeStage(const Tensor& rows,
     // vanilla-PE ablation.
     tables.push_back(
         options_.use_tape
-            ? CachedSinusoidalEncoding(
+            ? nn::SinusoidalEncoding(
                   TimeAwarePositions(*seq.timestamps, seq.first_real), dim_)
             : nn::VanillaPositionalEncoding(n, dim_));
     masks.push_back(BuildPaddedCausalMask(n, seq.first_real));

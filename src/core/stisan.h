@@ -125,8 +125,8 @@ class StisanModel : public models::SequentialRecommender, public nn::Module {
     return options_.attention_mode != AttentionMode::kVanilla;
   }
 
-  /// Relation bias (softmax-scaled R, LRU-cached) or undefined in kVanilla
-  /// mode.
+  /// Relation bias (softmax-scaled R, built per forward) or undefined in
+  /// kVanilla mode.
   Tensor RelationBias(const std::vector<int64_t>& pois,
                       const std::vector<double>& timestamps,
                       int64_t first_real) const;

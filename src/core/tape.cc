@@ -2,13 +2,11 @@
 
 #include <atomic>
 #include <cmath>
-#include <utility>
 
 #include "nn/layers.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/logging.h"
-#include "util/lru_cache.h"
 
 namespace stisan::core {
 
@@ -32,39 +30,6 @@ double ClampGap(double dt, bool count) {
     }
   }
   return 0.0;
-}
-
-struct PositionsKey {
-  std::vector<double> positions;
-  int64_t dim = 0;
-
-  bool operator==(const PositionsKey& o) const {
-    return dim == o.dim && positions == o.positions;
-  }
-};
-
-struct PositionsKeyHash {
-  size_t operator()(const PositionsKey& k) const {
-    uint64_t h = Fnv1aBytes(k.positions.data(),
-                            k.positions.size() * sizeof(double));
-    h = Fnv1aBytes(&k.dim, sizeof(k.dim), h);
-    return static_cast<size_t>(h);
-  }
-};
-
-LruCache<PositionsKey, Tensor, PositionsKeyHash>& TapeCache() {
-  // Leaked: see RelationCache() — outlives static teardown. The
-  // snapshot layer polls the cache's own counters lazily instead of paying
-  // a second increment on the lookup path.
-  static auto* cache = [] {
-    auto* c = new LruCache<PositionsKey, Tensor, PositionsKeyHash>(256);
-    obs::RegisterCallbackGauge("tape/cache_hits",
-                               [c] { return double(c->hits()); });
-    obs::RegisterCallbackGauge("tape/cache_misses",
-                               [c] { return double(c->misses()); });
-    return c;
-  }();
-  return *cache;
 }
 
 }  // namespace
@@ -108,22 +73,7 @@ Tensor ApplyTape(const Tensor& x, const std::vector<double>& timestamps,
   STISAN_CHECK_EQ(x.dim(), 2);
   STISAN_CHECK_EQ(x.size(0), static_cast<int64_t>(timestamps.size()));
   const auto pos = TimeAwarePositions(timestamps, first_real);
-  return x + CachedSinusoidalEncoding(pos, x.size(1));
-}
-
-Tensor CachedSinusoidalEncoding(const std::vector<double>& positions,
-                                int64_t dim) {
-  // Training only, as for CachedScaledRelation.
-  if (!internal::GradEnabled()) return nn::SinusoidalEncoding(positions, dim);
-  PositionsKey key{positions, dim};
-  if (auto hit = TapeCache().Get(key)) return *hit;
-  Tensor table = nn::SinusoidalEncoding(positions, dim);
-  TapeCache().Put(std::move(key), table);
-  return table;
-}
-
-TapeCacheStats GetTapeCacheStats() {
-  return {TapeCache().hits(), TapeCache().misses()};
+  return x + nn::SinusoidalEncoding(pos, x.size(1));
 }
 
 }  // namespace stisan::core

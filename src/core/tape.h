@@ -36,21 +36,4 @@ std::vector<double> TimeAwarePositions(const std::vector<double>& timestamps,
 Tensor ApplyTape(const Tensor& x, const std::vector<double>& timestamps,
                  int64_t first_real = 0);
 
-/// nn::SinusoidalEncoding, memoised for training: while autograd records a
-/// graph, an LRU keyed on the full (positions, dim) content (exact-equality
-/// compare) skips the O(n·d) sin/cos rebuild of tables that repeat across
-/// epochs. Under NoGradGuard it builds directly with no lookup or insert,
-/// by the rule of CachedScaledRelation. Cached tensors are gradient-free
-/// and shared — callers must not mutate.
-Tensor CachedSinusoidalEncoding(const std::vector<double>& positions,
-                                int64_t dim);
-
-/// Hit/miss counters of the position-table LRU (tests and benchmarks); only
-/// training lookups count.
-struct TapeCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-};
-TapeCacheStats GetTapeCacheStats();
-
 }  // namespace stisan::core

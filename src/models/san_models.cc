@@ -85,9 +85,9 @@ Tensor SasRecModel::EncodeSource(const std::vector<int64_t>& pois,
   e = dropout_.Forward(e, rng);
   Tensor bias;
   if (extensions_.relation.has_value()) {
-    bias = core::CachedScaledRelation(pois, timestamps,
-                                      WindowCoords(*dataset_, pois),
-                                      first_real, *extensions_.relation);
+    bias = core::ScaledRelation(pois, timestamps,
+                                WindowCoords(*dataset_, pois), first_real,
+                                *extensions_.relation);
   }
   Tensor mask = core::BuildPaddedCausalMask(n, first_real);
   return encoder_->Forward(e, bias, mask, rng);
@@ -106,7 +106,7 @@ Tensor SasRecModel::EncodeSourceBatch(
     std::vector<Tensor> pe(static_cast<size_t>(bsz));
     for (int64_t b = 0; b < bsz; ++b) {
       const auto* inst = instances[static_cast<size_t>(b)];
-      pe[static_cast<size_t>(b)] = core::CachedSinusoidalEncoding(
+      pe[static_cast<size_t>(b)] = nn::SinusoidalEncoding(
           core::TimeAwarePositions(inst->t, inst->first_real), d);
     }
     e = e + ops::Stack0(pe);
@@ -120,7 +120,7 @@ Tensor SasRecModel::EncodeSourceBatch(
     std::vector<Tensor> biases(static_cast<size_t>(bsz));
     for (int64_t b = 0; b < bsz; ++b) {
       const auto* inst = instances[static_cast<size_t>(b)];
-      biases[static_cast<size_t>(b)] = core::CachedScaledRelation(
+      biases[static_cast<size_t>(b)] = core::ScaledRelation(
           inst->poi, inst->t, WindowCoords(*dataset_, inst->poi),
           inst->first_real, *extensions_.relation);
     }

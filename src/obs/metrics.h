@@ -8,16 +8,16 @@
 //    touch only relaxed atomics. The registry mutex is taken on name lookup
 //    and snapshot only; instrument sites cache the reference once:
 //
-//        static obs::Counter& hits = obs::GetCounter("relation/cache_hits");
-//        hits.Inc();
+//        static obs::Counter& built = obs::GetCounter("mask/causal_built");
+//        built.Inc();
 //
 //  - Instrumentation is strictly passive. Nothing read from the registry
-//    feeds back into computation, timers never enter cache keys, and metric
-//    values never influence control flow — golden metrics and checkpoint
+//    feeds back into computation and metric values never influence
+//    control flow — golden metrics and checkpoint
 //    bytes are bit-identical with observability on, at any thread count.
 //  - Callback gauges let subsystems with their own internal counters
-//    (LruCache hit/miss, ThreadPool task counts) be polled
-//    lazily at snapshot time instead of double-counting on the hot path.
+//    (ThreadPool task counts) be polled lazily at snapshot time instead of
+//    double-counting on the hot path.
 //
 // Trace spans: OBS_SCOPED_TIMER("train/epoch") records the enclosing
 // scope's wall time into the histogram "time/train/epoch" (seconds,
@@ -106,7 +106,7 @@ Histogram& GetHistogram(const std::string& name,
 
 /// Registers a gauge whose value is computed by `fn` at snapshot time.
 /// Re-registering a name replaces the callback. Used by subsystems that
-/// already keep internal counters (caches, thread pool).
+/// already keep internal counters (the thread pool).
 void RegisterCallbackGauge(const std::string& name,
                            std::function<double()> fn);
 
@@ -114,7 +114,7 @@ void RegisterCallbackGauge(const std::string& name,
 
 /// Records the wall time between construction and destruction into a
 /// histogram (seconds). Purely additive: never read back on any compute
-/// path and never part of a cache key.
+/// path.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& hist) : hist_(hist) {}

@@ -65,6 +65,7 @@ RecommendService::RecommendService(models::SequentialRecommender* model,
   STISAN_CHECK_GE(options_.max_seq_len, 1);
   STISAN_CHECK_GE(options_.max_batch, 1);
   STISAN_CHECK_GE(options_.max_queue, 0);
+  STISAN_CHECK_GE(options_.num_pois, 1);
   if (auto* stisan = dynamic_cast<core::StisanModel*>(model)) {
     engine_ = std::make_unique<core::IncrementalScorer>(stisan,
                                                         options_.max_seq_len);
@@ -115,8 +116,7 @@ void RecommendService::Shutdown() {
 
 Status RecommendService::ValidateAppend(int64_t poi,
                                         double timestamp) const {
-  if (poi == data::kPaddingPoi || poi < 0 ||
-      (options_.num_pois > 0 && poi > options_.num_pois)) {
+  if (poi == data::kPaddingPoi || poi < 0 || poi > options_.num_pois) {
     return Status::InvalidArgument("POI id out of range: " +
                                    std::to_string(poi));
   }
@@ -132,8 +132,7 @@ Status RecommendService::ValidateScore(
     return Status::InvalidArgument("empty candidate list");
   }
   for (int64_t poi : candidates) {
-    if (poi == data::kPaddingPoi || poi < 0 ||
-        (options_.num_pois > 0 && poi > options_.num_pois)) {
+    if (poi == data::kPaddingPoi || poi < 0 || poi > options_.num_pois) {
       return Status::InvalidArgument("candidate POI id out of range: " +
                                      std::to_string(poi));
     }

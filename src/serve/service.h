@@ -131,8 +131,9 @@ struct ServeOptions {
   /// Default per-request deadline in microseconds from enqueue
   /// (0 = none); ScoreAsync overloads may override per request.
   int64_t default_deadline_us = 0;
-  /// POI catalog size for request validation (ids are 1-based; 0 = only
-  /// reject padding/negative ids).
+  /// POI catalog size (ids are 1..num_pois): Append and ScoreAsync reject
+  /// any other id with kInvalidArgument. Required: the constructor checks
+  /// num_pois >= 1.
   int64_t num_pois = 0;
   /// Test-only fault hooks (see fault_injector.h); must outlive the
   /// service. nullptr in production.

@@ -23,8 +23,8 @@
 
 namespace stisan::kernels::simd {
 
-/// True when a vector backend exists for this CPU (AVX2+FMA detected at
-/// runtime on x86-64). Cached after the first call.
+/// True when a vector backend exists for this CPU (AVX2+FMA, detected at
+/// runtime on x86-64 on the first call and remembered).
 bool Available();
 
 /// "avx2", or "scalar" on a build without the x86-64 backend. Meaningful

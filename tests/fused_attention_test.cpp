@@ -1,4 +1,4 @@
-// Fused attention + cache test suite (label: "fused").
+// Fused attention test suite (label: "fused").
 //
 // Covers the ops::FusedAttention contract from three angles:
 //  1. analytic gradients vs central finite differences (bias/no-bias,
@@ -9,9 +9,6 @@
 //     forward, input grads, learned-bias grads and the dropout RNG stream,
 //  3. bit-determinism across thread counts on shapes large enough to
 //     actually split in ParallelRanges.
-//
-// Plus the memoisation caches: CachedScaledRelation and
-// CachedSinusoidalEncoding must return shared handles on repeat requests.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +18,6 @@
 
 #include "core/relation.h"
 #include "core/taad.h"
-#include "core/tape.h"
 #include "nn/attention.h"
 #include "tensor/gradcheck.h"
 #include "tensor/kernels.h"
@@ -382,39 +378,6 @@ TEST(FusedDeterminism, BitIdenticalAcrossThreadCounts) {
   kernels::SetNumThreads(0);  // restore the default pool
   EXPECT_EQ(serial.forward, parallel.forward);
   EXPECT_EQ(serial.grads, parallel.grads);
-}
-
-// ---- 4. Memoisation caches ---------------------------------------------------
-
-TEST(CacheTest, RelationCacheSharesAndMatchesDirectBuild) {
-  const std::vector<int64_t> pois = {3, 1, 4, 1, 5};
-  const std::vector<double> ts = {0.0, 3600.0, 7200.0, 9000.0, 12000.0};
-  const std::vector<geo::GeoPoint> coords = {
-      {43.8, 125.3}, {43.9, 125.4}, {43.7, 125.2}, {43.9, 125.4},
-      {43.85, 125.35}};
-  core::RelationOptions options;
-  const Tensor first =
-      core::CachedScaledRelation(pois, ts, coords, /*first_real=*/1, options);
-  const auto before = core::GetRelationCacheStats();
-  const Tensor second =
-      core::CachedScaledRelation(pois, ts, coords, /*first_real=*/1, options);
-  const auto after = core::GetRelationCacheStats();
-  EXPECT_EQ(first.data(), second.data());  // served from the LRU
-  EXPECT_EQ(after.hits, before.hits + 1);
-  const Tensor direct = core::SoftmaxScaleRelation(
-      core::BuildRelationMatrix(pois, ts, coords, 1, options), 1);
-  EXPECT_EQ(first.ToVector(), direct.ToVector());
-}
-
-TEST(CacheTest, TapeCacheSharesAndMatchesDirectBuild) {
-  const std::vector<double> pos = {1.0, 2.5, 3.5, 6.0};
-  const Tensor first = core::CachedSinusoidalEncoding(pos, 8);
-  const auto before = core::GetTapeCacheStats();
-  const Tensor second = core::CachedSinusoidalEncoding(pos, 8);
-  const auto after = core::GetTapeCacheStats();
-  EXPECT_EQ(first.data(), second.data());
-  EXPECT_EQ(after.hits, before.hits + 1);
-  EXPECT_EQ(first.ToVector(), nn::SinusoidalEncoding(pos, 8).ToVector());
 }
 
 }  // namespace

@@ -516,6 +516,7 @@ TEST(ServeCatalogTest, TypedErrorsForDisabledColdAndInvalid) {
 
   {  // Disabled: poi_coords not set.
     serve::ServeOptions options;
+    options.num_pois = ds.num_pois();
     options.start_worker = false;
     serve::RecommendService service(&pop, options);
     const auto r = service.RankCatalog(7, 5);

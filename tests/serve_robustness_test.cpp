@@ -10,7 +10,8 @@
 // 2. Shutdown: pending promises resolve kUnavailable (never broken),
 //    blocked producers unblock, and post-shutdown ops fail fast.
 // 3. Input validation: padding/out-of-range POIs, non-finite timestamps
-//    and empty candidate lists resolve kInvalidArgument per request.
+//    and empty candidate lists resolve kInvalidArgument per request; a
+//    service without a catalog size fails at construction.
 // 4. Admission control: kRejectNew / kShedOldest / kBlock under a bounded
 //    queue, with shed/rejected requests resolved immediately.
 // 5. Deadlines: expired requests resolve kDeadlineExceeded, resident
@@ -146,6 +147,7 @@ TEST_F(ServeRobustnessTest, WorkerSurvivesInjectedScorerThrows) {
   injector.SetPlan(plan);
 
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.max_seq_len = 32;
   so.start_worker = true;
   so.fault_injector = &injector;
@@ -205,6 +207,7 @@ TEST_F(ServeRobustnessTest, FallbackBatchThrowFailsOnlyItsChunk) {
   injector.SetPlan(plan);
 
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = false;
   so.max_batch = 2;  // 6 same-length users -> 3 chunks
   so.fault_injector = &injector;
@@ -261,6 +264,7 @@ TEST_F(ServeRobustnessTest, ForcedEvictionsPreserveBitIdentity) {
   injector.SetPlan(plan);
 
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.max_seq_len = 32;
   so.start_worker = false;
   so.fault_injector = &injector;
@@ -315,6 +319,7 @@ TEST_F(ServeRobustnessTest, ShutdownResolvesUnpumpedPromises) {
   std::vector<std::future<ScoreResult>> futures;
   {
     ServeOptions so;
+    so.num_pois = ds_.num_pois();
     so.start_worker = false;
     RecommendService service(&model, so);
     ASSERT_TRUE(service.Append(1, 5, 100.0).ok());
@@ -335,6 +340,7 @@ TEST_F(ServeRobustnessTest, ShutdownResolvesUnpumpedPromises) {
 TEST_F(ServeRobustnessTest, StoppedServiceFailsFast) {
   core::StisanModel model(ds_, TinyStisanOptions());
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = true;
   RecommendService service(&model, so);
   ASSERT_TRUE(service.Append(1, 5, 100.0).ok());
@@ -353,6 +359,7 @@ TEST_F(ServeRobustnessTest, StoppedServiceFailsFast) {
 TEST_F(ServeRobustnessTest, ShutdownUnblocksBlockedProducer) {
   core::StisanModel model(ds_, TinyStisanOptions());
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = false;  // nobody drains: the second op must block
   so.max_queue = 1;
   so.queue_policy = QueuePolicy::kBlock;
@@ -421,6 +428,19 @@ TEST_F(ServeRobustnessTest, InvalidRequestsRejectedPerRequest) {
   EXPECT_EQ(r.scores, ColdScore(model, seq, 1, cands));
 }
 
+// Without a catalog size an unknown POI id passed validation and aborted
+// the process at the next score's embedding lookup. The size is required
+// now: a service built without it fails at construction instead.
+TEST_F(ServeRobustnessTest, ConstructionRequiresCatalogSize) {
+  // Death tests fork; the threadsafe style re-runs the binary for the
+  // child, which stays sound with other threads alive and under tsan.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::StisanModel model(ds_, TinyStisanOptions());
+  ServeOptions so;
+  so.start_worker = false;
+  EXPECT_DEATH({ RecommendService service(&model, so); }, "num_pois");
+}
+
 // ---------------------------------------------------------------------------
 // 4. Admission control.
 // ---------------------------------------------------------------------------
@@ -428,6 +448,7 @@ TEST_F(ServeRobustnessTest, InvalidRequestsRejectedPerRequest) {
 TEST_F(ServeRobustnessTest, RejectNewResolvesImmediately) {
   core::StisanModel model(ds_, TinyStisanOptions());
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = false;
   so.max_queue = 2;
   so.queue_policy = QueuePolicy::kRejectNew;
@@ -454,6 +475,7 @@ TEST_F(ServeRobustnessTest, ShedOldestDropsOldestScoreKeepsAppends) {
   const auto users = PickUsers(/*min_len=*/4, /*max_users=*/3);
   ASSERT_EQ(users.size(), 3u);
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = false;
   so.max_queue = 3;
   so.queue_policy = QueuePolicy::kShedOldest;
@@ -495,6 +517,7 @@ TEST_F(ServeRobustnessTest, ShedOldestDropsOldestScoreKeepsAppends) {
 TEST_F(ServeRobustnessTest, BlockPolicyBackpressuresWithoutLoss) {
   core::StisanModel model(ds_, TinyStisanOptions());
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = true;
   so.max_queue = 2;
   so.queue_policy = QueuePolicy::kBlock;
@@ -528,6 +551,7 @@ TEST_F(ServeRobustnessTest, ExpiredDeadlineResolvesDeadlineExceeded) {
   const auto& seq = ds_.user_seqs[static_cast<size_t>(user)];
 
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = false;
   so.max_seq_len = 32;
   RecommendService service(&model, so);
@@ -571,6 +595,7 @@ TEST_F(ServeRobustnessTest, ExpiredDeadlineResolvesDeadlineExceeded) {
 TEST_F(ServeRobustnessTest, DefaultDeadlineAppliesToEveryRequest) {
   core::StisanModel model(ds_, TinyStisanOptions());
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = false;
   so.default_deadline_us = 1;
   RecommendService service(&model, so);
@@ -600,6 +625,7 @@ TEST_F(ServeRobustnessTest, FallbackRechecksDeadlineBeforeForward) {
   ASSERT_EQ(users.size(), 3u);
 
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = false;
   RecommendService service(&model, so);
   // Users 0, 1 have 5-visit histories; user 2 has 4 — a different length
@@ -640,6 +666,7 @@ TEST_F(ServeRobustnessTest, DeadlinePassedBehindOtherTasksResolvesExpired) {
   kernels::SetNumThreads(2);
 
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = false;
   so.max_seq_len = 32;
   RecommendService service(&model, so);
@@ -802,6 +829,7 @@ TEST_F(ServeRobustnessTest, ConcurrentStressEveryFutureResolves) {
 TEST_F(ServeRobustnessTest, DrainVsConcurrentEnqueueRace) {
   core::StisanModel model(ds_, TinyStisanOptions());
   ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = true;
   so.max_seq_len = 16;
   RecommendService service(&model, so);

@@ -18,10 +18,9 @@
 //    interleavings against a naive map-of-vectors + LRU-deque reference.
 // 5. Batched inference: StisanModel::ScoreBatch equals Score bit for bit
 //    at pool sizes {1, 4} and batch sizes {1, 3, 7, 32} (one sub-batch per
-//    pool thread, uneven splits included), inference never touches the
-//    relation/TAPE memo caches while training still hits them, and the
-//    single-token / mixed-length regressions (StisanModel::ScoreBatch used
-//    to CHECK-fail on ragged inputs).
+//    pool thread, uneven splits included), and the single-token /
+//    mixed-length regressions (StisanModel::ScoreBatch used to CHECK-fail
+//    on ragged inputs).
 
 #include <gtest/gtest.h>
 
@@ -181,6 +180,7 @@ TEST_F(ServeTest, IncrementalBitIdenticalAtEveryPrefix) {
     for (int64_t threads : {1, 4}) {
       kernels::SetNumThreads(threads);
       serve::ServeOptions so;
+      so.num_pois = ds_.num_pois();
       so.max_sessions = 1;  // two alternating users -> capacity evictions
       so.max_seq_len = 32;
       so.start_worker = false;
@@ -262,6 +262,7 @@ TEST_F(ServeTest, OverflowFallsBackToWindowedBatchPath) {
   const auto& seq = ds_.user_seqs[static_cast<size_t>(users[0])];
 
   serve::ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.max_seq_len = 8;
   so.start_worker = false;
   serve::RecommendService service(&model, so);
@@ -289,6 +290,7 @@ TEST_F(ServeTest, ColdStartScoresZero) {
   opts.use_tape = false;
   core::StisanModel model(ds_, opts);
   serve::ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.start_worker = false;
   serve::RecommendService service(&model, so);
   const auto result = service.Score(77, {1, 2, 3});
@@ -309,6 +311,7 @@ TEST_F(ServeTest, FallbackModelBitIdenticalThroughService) {
   for (int64_t threads : {1, 4}) {
     kernels::SetNumThreads(threads);
     serve::ServeOptions so;
+    so.num_pois = ds_.num_pois();
     so.start_worker = false;
     so.max_batch = 2;  // force multi-chunk flushes
     serve::RecommendService service(&model, so);
@@ -371,6 +374,7 @@ TEST_F(ServeTest, MicroBatchingDeterminism) {
     for (int64_t max_batch : {1, 4, 32}) {
       obs::ResetAllForTesting();
       serve::ServeOptions so;
+      so.num_pois = ds_.num_pois();
       so.start_worker = false;
       so.max_batch = max_batch;
       serve::RecommendService service(&model, so);
@@ -460,6 +464,7 @@ TEST_F(ServeTest, WorkerThreadWithCoalescingWindowMatches) {
   ASSERT_GE(users.size(), 2u);
 
   serve::ServeOptions so;
+  so.num_pois = ds_.num_pois();
   so.batch_window_us = 200;
   so.start_worker = true;
   serve::RecommendService service(&model, so);
@@ -869,8 +874,8 @@ TEST(SessionStoreTest, FuzzAgainstNaiveReference) {
 
 // ---------------------------------------------------------------------------
 // Batched inference and latent-bug regressions: eval::BatchScorer
-// implementations, the per-thread sub-batch split, the memo-cache rule and
-// single-token / ragged batches.
+// implementations, the per-thread sub-batch split and single-token /
+// ragged batches.
 // ---------------------------------------------------------------------------
 
 class BatchEdgeTest : public ServeTest {};
@@ -920,59 +925,6 @@ TEST_F(BatchEdgeTest, ScoreBatchMatchesScoreAtEveryPoolAndBatchSize) {
       }
     }
   }
-}
-
-TEST_F(BatchEdgeTest, MemoCachesServeTrainingOnly) {
-  auto opts = TinyStisanOptions();  // full STiSAN: TAPE and relation on
-  opts.train.epochs = 2;
-  core::StisanModel model(ds_, opts);
-  const data::Split split = data::TrainTestSplit(ds_, {.max_seq_len = 8});
-  ASSERT_GE(split.test.size(), 8u);
-  ASSERT_GE(split.train.size(), 12u);
-  const auto relation_before = core::GetRelationCacheStats();
-  const auto tape_before = core::GetTapeCacheStats();
-  auto expect_untouched = [&](const char* what) {
-    const auto relation = core::GetRelationCacheStats();
-    const auto tape = core::GetTapeCacheStats();
-    EXPECT_EQ(relation.hits, relation_before.hits) << what;
-    EXPECT_EQ(relation.misses, relation_before.misses) << what;
-    EXPECT_EQ(tape.hits, tape_before.hits) << what;
-    EXPECT_EQ(tape.misses, tape_before.misses) << what;
-  };
-
-  // Batched scoring, twice over the same instances, at both pool sizes.
-  std::vector<const data::EvalInstance*> ptrs;
-  std::vector<std::vector<int64_t>> cands;
-  for (size_t i = 0; i < 8; ++i) {
-    ptrs.push_back(&split.test[i]);
-    cands.push_back(Candidates(split.test[i].target, 10, 800 + i));
-  }
-  for (int64_t threads : {1, 4}) {
-    kernels::SetNumThreads(threads);
-    model.ScoreBatch(ptrs, cands);
-    model.ScoreBatch(ptrs, cands);
-  }
-  expect_untouched("ScoreBatch");
-
-  // The serving engine, at every prefix of one history.
-  const auto users = PickUsers(/*min_len=*/6, /*max_users=*/1);
-  ASSERT_EQ(users.size(), 1u);
-  const auto& seq = ds_.user_seqs[static_cast<size_t>(users[0])];
-  core::IncrementalScorer engine(&model, /*max_seq_len=*/8);
-  auto state = engine.NewState();
-  std::vector<int64_t> pois;
-  std::vector<double> times;
-  for (size_t i = 0; i < 6; ++i) {
-    pois.push_back(seq[i].poi);
-    times.push_back(seq[i].timestamp);
-    engine.Score(*state, pois, times, cands[0]);
-  }
-  expect_untouched("IncrementalScorer::Score");
-
-  // Training still memoises: the second epoch revisits the first's windows.
-  model.Fit(ds_, {split.train.begin(), split.train.begin() + 12});
-  EXPECT_GT(core::GetRelationCacheStats().hits, relation_before.hits);
-  EXPECT_GT(core::GetTapeCacheStats().hits, tape_before.hits);
 }
 
 TEST_F(BatchEdgeTest, SingleTokenBatchesMatchPerInstanceScore) {

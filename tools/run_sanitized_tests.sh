@@ -11,11 +11,13 @@
 # runs once per sanitizer; they skip the end-to-end CLI/tool smoke tests,
 # whose sanitized runtimes are excessive, and the "bench" checks of the
 # benchmark harness, which builds its own unsanitized worker. The tsan
-# preset runs only the concurrency-heavy "serve", "obs", "pool" and "eval"
-# labels: worker-thread handoffs, per-user scoring tasks and batched
-# sub-batch forwards on the kernel pool, admission blocking/shedding,
-# shutdown promise sweeps, the lock-free metrics registry and the thread
-# pool itself. `ctest --preset <name> -N` lists each preset's tests.
+# preset runs only the concurrency-heavy "serve", "obs", "pool", "eval",
+# "fused" and "simd" labels: worker-thread handoffs, per-user scoring
+# tasks and batched sub-batch forwards on the kernel pool, admission
+# blocking/shedding, shutdown promise sweeps, the lock-free metrics
+# registry, the thread pool itself, and the attention and AVX2 Gemm
+# kernels that training still splits across the pool.
+# `ctest --preset <name> -N` lists each preset's tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
