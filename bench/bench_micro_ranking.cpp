@@ -20,14 +20,16 @@
 //  - pool_size: mean stage-one pool size.
 //  - instances_per_s via SetItemsProcessed.
 //
+// The pruned legs run on the kernel pool (stage one's GenerateBatch, and
+// the STiSAN leg's ScoreBatch sub-batches), so they time and rate by wall
+// clock (UseRealTime); the other legs run on the calling thread.
+//
 // The checked-in BENCH_ranking.json holds the aggregates (median, mean,
 // stddev, cv) of 5 repetitions at the default kernel pool, from the repo
 // root of a Release build (~3.5 min, ~10 s of it fixture set-up):
 //   ./build/bench/bench_micro_ranking --benchmark_repetitions=5
 //       --benchmark_report_aggregates_only=true --benchmark_format=json
 //       > BENCH_ranking.json
-// Read real_time: the pruned legs' stage one runs on the kernel pool, so
-// their cpu_time (and items_per_second) count only the calling thread.
 
 #include <benchmark/benchmark.h>
 
@@ -188,6 +190,7 @@ BENCHMARK(BM_PrunedRanking_GeoPrior)
     ->Arg(100)
     ->Arg(500)
     ->Arg(2000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Neural stage two over the pruned pool: the honest serving-shaped number.
@@ -213,10 +216,13 @@ void BM_PrunedRanking_Stisan(benchmark::State& state) {
       static_cast<double>(fx.dataset.num_pois());
   state.counters["target_in_pool"] = in_pool;
 }
-BENCHMARK(BM_PrunedRanking_Stisan)->Arg(500)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PrunedRanking_Stisan)
+    ->Arg(500)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Stage one alone: candidate generation throughput (queries/s) at metro
-// scale, serial vs thread pool.
+// scale, on the calling thread.
 void BM_CandidateGeneration(benchmark::State& state) {
   auto& fx = Fixture();
   geo::CandidatePoolOptions pool_options;

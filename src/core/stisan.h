@@ -63,6 +63,7 @@ class StisanModel : public models::SequentialRecommender, public nn::Module {
   StisanModel(const data::Dataset& dataset, const StisanOptions& options);
 
   std::string name() const override;
+  int64_t num_pois() const override { return dataset_->num_pois(); }
   void Fit(const data::Dataset& dataset,
            const std::vector<data::TrainWindow>& train) override;
   std::vector<float> Score(const data::EvalInstance& instance,

@@ -18,6 +18,7 @@ class GeoSanModel : public SequentialRecommender {
   GeoSanModel(const data::Dataset& dataset, core::StisanOptions options);
 
   std::string name() const override { return "GeoSAN"; }
+  int64_t num_pois() const override { return inner_.num_pois(); }
   void Fit(const data::Dataset& dataset,
            const std::vector<data::TrainWindow>& train) override {
     inner_.Fit(dataset, train);

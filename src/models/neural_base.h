@@ -32,6 +32,7 @@ class NeuralSeqModel : public SequentialRecommender, public nn::Module {
                  std::string model_name);
 
   std::string name() const override { return name_; }
+  int64_t num_pois() const override { return dataset_->num_pois(); }
   void Fit(const data::Dataset& dataset,
            const std::vector<data::TrainWindow>& train) override;
   std::vector<float> Score(const data::EvalInstance& instance,

@@ -3,6 +3,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -48,6 +49,10 @@ class SequentialRecommender : public eval::BatchScorer {
   /// Trains on the prepared windows from `dataset`.
   virtual void Fit(const data::Dataset& dataset,
                    const std::vector<data::TrainWindow>& train) = 0;
+
+  /// Largest POI id the model scores (ids are 1..num_pois()): the catalog of
+  /// the dataset it was built or fitted on.
+  virtual int64_t num_pois() const = 0;
 
   /// Scores each candidate POI given the instance's history; higher means
   /// more likely to be visited next.

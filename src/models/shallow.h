@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,10 @@ namespace stisan::models {
 class PopModel : public SequentialRecommender {
  public:
   std::string name() const override { return "POP"; }
+  /// Any id: one POP never counted scores as zero visits.
+  int64_t num_pois() const override {
+    return std::numeric_limits<int64_t>::max();
+  }
   void Fit(const data::Dataset& dataset,
            const std::vector<data::TrainWindow>& train) override;
   std::vector<float> Score(const data::EvalInstance& instance,
@@ -48,6 +53,7 @@ class BprMfModel : public SequentialRecommender {
   explicit BprMfModel(BprOptions options = {}) : options_(options) {}
 
   std::string name() const override { return "BPR"; }
+  int64_t num_pois() const override { return num_pois_; }
   void Fit(const data::Dataset& dataset,
            const std::vector<data::TrainWindow>& train) override;
   std::vector<float> Score(const data::EvalInstance& instance,
@@ -83,6 +89,7 @@ class FpmcLrModel : public SequentialRecommender {
   explicit FpmcLrModel(FpmcOptions options = {}) : options_(options) {}
 
   std::string name() const override { return "FPMC-LR"; }
+  int64_t num_pois() const override { return num_pois_; }
   void Fit(const data::Dataset& dataset,
            const std::vector<data::TrainWindow>& train) override;
   std::vector<float> Score(const data::EvalInstance& instance,
@@ -122,6 +129,7 @@ class PrmeGModel : public SequentialRecommender {
   explicit PrmeGModel(PrmeOptions options = {}) : options_(options) {}
 
   std::string name() const override { return "PRME-G"; }
+  int64_t num_pois() const override { return num_pois_; }
   void Fit(const data::Dataset& dataset,
            const std::vector<data::TrainWindow>& train) override;
   std::vector<float> Score(const data::EvalInstance& instance,

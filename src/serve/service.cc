@@ -66,6 +66,11 @@ RecommendService::RecommendService(models::SequentialRecommender* model,
   STISAN_CHECK_GE(options_.max_batch, 1);
   STISAN_CHECK_GE(options_.max_queue, 0);
   STISAN_CHECK_GE(options_.num_pois, 1);
+  // An id the model cannot embed must fail validation, not the next score.
+  STISAN_CHECK_MSG(options_.num_pois <= model->num_pois(),
+                   "ServeOptions::num_pois " << options_.num_pois
+                       << " exceeds the model's catalog of "
+                       << model->num_pois() << " POIs");
   if (auto* stisan = dynamic_cast<core::StisanModel*>(model)) {
     engine_ = std::make_unique<core::IncrementalScorer>(stisan,
                                                         options_.max_seq_len);

@@ -133,7 +133,7 @@ struct ServeOptions {
   int64_t default_deadline_us = 0;
   /// POI catalog size (ids are 1..num_pois): Append and ScoreAsync reject
   /// any other id with kInvalidArgument. Required: the constructor checks
-  /// num_pois >= 1.
+  /// 1 <= num_pois <= the model's num_pois().
   int64_t num_pois = 0;
   /// Test-only fault hooks (see fault_injector.h); must outlive the
   /// service. nullptr in production.

@@ -112,12 +112,15 @@ namespace {
 
 // One row-range of the Gemm. Every variant iterates output rows i in
 // [i0, i1) and uses the same per-element accumulation order as a full
-// serial sweep, so threading never changes results.
+// serial sweep, so threading never changes results. The vector backend
+// takes every variant but ta && tb, which no production op emits.
 void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
                   int64_t k, int64_t n, bool ta, bool tb, bool accumulate,
-                  int64_t i0, int64_t i1) {
+                  bool use_simd, int64_t i0, int64_t i1) {
   if (!accumulate) std::fill(c + i0 * n, c + i1 * n, 0.0f);
-  if (!ta && !tb) {
+  if (use_simd && !(ta && tb)) {
+    simd::GemmRowRange(a, b, c, m, k, n, ta, tb, i0, i1);
+  } else if (!ta && !tb) {
     for (int64_t i = i0; i < i1; ++i) {
       float* crow = c + i * n;
       for (int64_t p = 0; p < k; ++p) {
@@ -163,11 +166,7 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool ta, bool tb, bool accumulate) {
   const bool use_simd = SimdEnabled();
   ParallelRanges(m, k * n, [&](int64_t i0, int64_t i1) {
-    if (use_simd) {
-      simd::GemmRowRange(a, b, c, m, k, n, ta, tb, accumulate, i0, i1);
-    } else {
-      GemmRowRange(a, b, c, m, k, n, ta, tb, accumulate, i0, i1);
-    }
+    GemmRowRange(a, b, c, m, k, n, ta, tb, accumulate, use_simd, i0, i1);
   });
 }
 
@@ -178,13 +177,8 @@ void BatchedGemm(const float* a, const float* b, float* c, int64_t batch,
   const bool use_simd = SimdEnabled();
   ParallelRanges(batch, m * k * n, [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t) {
-      if (use_simd) {
-        simd::GemmRowRange(a + t * sza, b + t * szb, c + t * szc, m, k, n, ta,
-                           tb, accumulate, 0, m);
-      } else {
-        GemmRowRange(a + t * sza, b + t * szb, c + t * szc, m, k, n, ta, tb,
-                     accumulate, 0, m);
-      }
+      GemmRowRange(a + t * sza, b + t * szb, c + t * szc, m, k, n, ta, tb,
+                   accumulate, use_simd, 0, m);
     }
   });
 }
@@ -229,7 +223,10 @@ void SoftmaxBackwardRows(const float* y, const float* gy, float* gx,
 void LayerNormRows(const float* x, const float* gamma, const float* beta,
                    float* y, float* mu, float* inv_sigma, int64_t rows,
                    int64_t d, float eps) {
-  const bool use_simd = SimdEnabled();
+  // Rows shorter than one vector stay here: in the avx2,fma-targeted
+  // kernel GCC contracts the scalar tail's a*b+c into FMAs, which would
+  // round them differently from this loop.
+  const bool use_simd = SimdEnabled() && d >= 8;
   ParallelRanges(rows, d, [&](int64_t r0, int64_t r1) {
     if (use_simd) {
       simd::LayerNormRowRange(x, gamma, beta, y, mu, inv_sigma, d, eps, r0,
@@ -341,108 +338,65 @@ void FusedAttentionBackward(const float* q, const float* k, const float* v,
                             float* dbias, float* ds, int64_t batch, int64_t m,
                             int64_t n, int64_t d, bool causal, float scale,
                             bool bias_broadcast) {
-  const int64_t kv_rows = batch * n;
-  const int64_t q_rows = batch * m;
-  // Phase 1 — dV[i,:] += Σ_p attD[p,i] · G[p,:]. Runs first: when k or v
-  // alias q (self-attention through one buffer) the composed tape also
-  // applies the output-matmul backward before the logit chain.
-  if (dv != nullptr) {
-    ParallelRanges(kv_rows, m * d, [&](int64_t t0, int64_t t1) {
-      for (int64_t t = t0; t < t1; ++t) {
-        const int64_t b = t / n;
-        const int64_t i = t % n;
-        const float* pblk = probs + b * m * n;
-        const float* mblk =
-            drop_mask == nullptr ? nullptr : drop_mask + b * m * n;
-        const float* gblk = gout + b * m * d;
-        float* dvrow = dv + t * d;
-        for (int64_t p = causal ? i : 0; p < m; ++p) {
-          float av = pblk[p * n + i];
-          if (mblk != nullptr) av *= mblk[p * n + i];
-          if (av == 0.0f) continue;
-          const float* grow = gblk + p * d;
-          for (int64_t c = 0; c < d; ++c) dvrow[c] += av * grow[c];
-        }
-      }
+  // Each product is one GEMM per batch slice. A 2-D call (batch == 1, every
+  // training window) takes Gemm, which splits rows across the pool.
+  auto gemm = [batch](const float* a, const float* b, float* c, int64_t rows,
+                      int64_t inner, int64_t cols, bool ta, bool tb,
+                      bool accumulate) {
+    if (batch == 1) {
+      Gemm(a, b, c, rows, inner, cols, ta, tb, accumulate);
+    } else {
+      BatchedGemm(a, b, c, batch, rows, inner, cols, ta, tb, accumulate);
+    }
+  };
+  // dV += P̃ᵀ G, P̃ the post-dropout probabilities (staged in ds). It runs
+  // first, as the output MatMul's backward does on the composed tape, so
+  // the sums stay in that order when k and v alias (TAAD's Attn(C, F, F)).
+  const float* ptilde = probs;
+  if (drop_mask != nullptr) {
+    ParallelRanges(batch * m * n, 1, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) ds[i] = probs[i] * drop_mask[i];
     });
+    ptilde = ds;
   }
-  if (ds == nullptr) return;  // only dV was requested
-  // Phase 2 — per query row: dP = G Vᵀ, dropout backward, the softmax
-  // Jacobian row reduction, the same-shape bias gradient, and dQ. ds keeps
-  // the *unscaled* logit gradients (what the composed Add backward sees);
-  // dQ/dK fold the · scale in on the fly, reproducing the composed
-  // MulScalar-materialised operand bit-for-bit.
-  ParallelRanges(q_rows, n * (2 * d + 6), [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      const int64_t b = t / m;
-      const int64_t r = t % m;
+  if (dv != nullptr) gemm(ptilde, gout, dv, n, m, d, true, false, true);
+  if (dq == nullptr && dk == nullptr && dbias == nullptr) return;
+  // dP̃ = G Vᵀ, then one pass per query row turns it into dS · scale:
+  // dropout backward, the softmax Jacobian dS = P ∘ (dP − Σ P·dP), the
+  // bias gradient of the unscaled dS, and causally masked columns set to
+  // exactly 0 (the composed softmax's exp-underflowed probabilities give
+  // them none). Batches run in ascending order inside each row, so a
+  // shared [m,n] bias row is owned by one thread and sums over the batch
+  // in the composed broadcast-Add backward's order.
+  gemm(gout, v, ds, m, d, n, false, true, false);
+  ParallelRanges(m, batch * n * 6, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
       const int64_t bound = causal ? r + 1 : n;
-      const float* prow = probs + t * n;
-      const float* mrow = drop_mask == nullptr ? nullptr : drop_mask + t * n;
-      const float* grow = gout + t * d;
-      const float* vblk = v + b * n * d;
-      const float* kblk = k + b * n * d;
-      float* dsrow = ds + t * n;
-      for (int64_t j = 0; j < bound; ++j) {
-        const float* vrow = vblk + j * d;
-        float acc = 0.0f;
-        for (int64_t c = 0; c < d; ++c) acc += grow[c] * vrow[c];
-        if (mrow != nullptr) acc *= mrow[j];
-        dsrow[j] = acc;
-      }
-      float dot = 0.0f;
-      for (int64_t j = 0; j < bound; ++j) dot += prow[j] * dsrow[j];
-      for (int64_t j = 0; j < bound; ++j)
-        dsrow[j] = prow[j] * (dsrow[j] - dot);
-      if (dbias != nullptr && !bias_broadcast) {
-        float* dbrow = dbias + t * n;
-        for (int64_t j = 0; j < bound; ++j) dbrow[j] += dsrow[j];
-      }
-      if (dq != nullptr) {
-        float* dqrow = dq + t * d;
-        for (int64_t j = 0; j < bound; ++j) {
-          const float av = dsrow[j] * scale;
-          if (av == 0.0f) continue;
-          const float* krow = kblk + j * d;
-          for (int64_t c = 0; c < d; ++c) dqrow[c] += av * krow[c];
+      for (int64_t b = 0; b < batch; ++b) {
+        const int64_t t = b * m + r;
+        const float* prow = probs + t * n;
+        float* dsrow = ds + t * n;
+        if (drop_mask != nullptr) {
+          const float* mrow = drop_mask + t * n;
+          for (int64_t j = 0; j < bound; ++j) dsrow[j] *= mrow[j];
         }
+        float dot = 0.0f;
+        for (int64_t j = 0; j < bound; ++j) dot += prow[j] * dsrow[j];
+        for (int64_t j = 0; j < bound; ++j)
+          dsrow[j] = prow[j] * (dsrow[j] - dot);
+        std::fill(dsrow + bound, dsrow + n, 0.0f);
+        if (dbias != nullptr) {
+          float* dbrow = dbias + (bias_broadcast ? r : t) * n;
+          for (int64_t j = 0; j < bound; ++j) dbrow[j] += dsrow[j];
+        }
+        for (int64_t j = 0; j < bound; ++j) dsrow[j] *= scale;
       }
     }
   });
-  // Phase 2b — a shared [m,n] bias reduces over the batch: each output row
-  // is owned by one thread and batches accumulate in ascending order, the
-  // per-element order of the composed serial broadcast-Add backward.
-  if (dbias != nullptr && bias_broadcast) {
-    ParallelRanges(m, batch * n, [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const int64_t bound = causal ? r + 1 : n;
-        float* dbrow = dbias + r * n;
-        for (int64_t b = 0; b < batch; ++b) {
-          const float* dsrow = ds + (b * m + r) * n;
-          for (int64_t j = 0; j < bound; ++j) dbrow[j] += dsrow[j];
-        }
-      }
-    });
-  }
-  // Phase 3 — dK[i,:] += Σ_p (dS[p,i] · scale) · Q[p,:]. After dQ, matching
-  // the composed dA-before-dB MatMul backward when q and k alias.
-  if (dk != nullptr) {
-    ParallelRanges(kv_rows, m * d, [&](int64_t t0, int64_t t1) {
-      for (int64_t t = t0; t < t1; ++t) {
-        const int64_t b = t / n;
-        const int64_t i = t % n;
-        const float* dsblk = ds + b * m * n;
-        const float* qblk = q + b * m * d;
-        float* dkrow = dk + t * d;
-        for (int64_t p = causal ? i : 0; p < m; ++p) {
-          const float av = dsblk[p * n + i] * scale;
-          if (av == 0.0f) continue;
-          const float* qrow = qblk + p * d;
-          for (int64_t c = 0; c < d; ++c) dkrow[c] += av * qrow[c];
-        }
-      }
-    });
-  }
+  // dQ += (dS · scale) K, then dK += (dS · scale)ᵀ Q: the composed
+  // MatMul(q, kᵀ) backward's dA-before-dB order.
+  if (dq != nullptr) gemm(ds, k, dq, m, n, d, false, false, true);
+  if (dk != nullptr) gemm(ds, q, dk, n, m, d, true, false, true);
 }
 
 }  // namespace stisan::kernels

@@ -55,14 +55,15 @@ void SetNumThreads(int64_t threads);
 
 // ---- SIMD backend selection ------------------------------------------------
 //
-// The forward hot kernels (Gemm, BatchedGemm, SoftmaxRows, LayerNormRows,
+// The hot kernels (Gemm, BatchedGemm, SoftmaxRows, LayerNormRows,
 // FusedAttentionForward) have explicitly vectorized implementations in
 // kernels_simd.cc (AVX2+FMA via runtime CPU detection on x86-64; every
 // other CPU runs the scalar kernels). They are ON by default when the CPU
-// supports them; STISAN_SIMD=0 is the kill switch. Backward kernels always
-// run the scalar reference — the scalar path stays the bit-exactness
-// baseline for training and gradcheck, and the golden-metrics harness pins
-// it explicitly.
+// supports them; STISAN_SIMD=0 is the kill switch. Every backward built on
+// Gemm/BatchedGemm (MatMul's, FusedAttentionBackward's products) follows
+// the same switch; the remaining row loops are scalar on both backends. The
+// scalar backend stays the bit-exactness baseline, and the golden-metrics
+// harness pins it explicitly.
 //
 // The vector kernels keep the determinism contract above (each output
 // element's reduction order depends only on the reduction length, never on
@@ -131,7 +132,8 @@ void GatherRows(const float* w, const int64_t* ids, float* out, int64_t n,
 //
 // q is [batch,m,d], k/v are [batch,n,d] (batch == 1 for the 2-D case), bias
 // is [batch,m,n] or a shared [m,n] (bias_broadcast). Causality is applied
-// implicitly by bounding every inner loop at column <= row — no mask tensor
+// implicitly — the forward bounds its inner loops at column <= row and the
+// backward zeroes the later columns' logit gradients — so no mask tensor
 // is materialised and no -1e9 additions happen. The per-element accumulation
 // orders replicate the composed MatMul → MulScalar → Add → Softmax →
 // (Dropout) → MatMul chain exactly: masked logits there underflow to an
@@ -152,11 +154,13 @@ void FusedAttentionForward(const float* q, const float* k, const float* v,
 
 /// Backward. Accumulates into dq/dk/dv/dbias (any may be nullptr). gout is
 /// the output gradient [batch,m,d]; probs/drop_mask are the forward's saved
-/// buffers; ds is caller-provided scratch [batch,m,n] (required unless only
-/// dv is wanted) that receives the unscaled pre-softmax logit gradients.
-/// Runs as row-partitioned phases in the composed path's topological order —
-/// dV, then dS/dbias/dQ, then dK — so results stay bit-identical to the
-/// composed backward even when q/k/v alias one buffer.
+/// buffers; ds is caller-provided scratch [batch,m,n] that ends up holding
+/// the scaled logit gradients. The composed chain's arithmetic: dV += P̃ᵀ·G,
+/// dP̃ = G·Vᵀ, one row pass for the dropout mask, softmax Jacobian and bias
+/// gradient, then dQ += dS·K and dK += dSᵀ·Q, each product one Gemm (2-D)
+/// or BatchedGemm call. dV, dQ, dK accumulate in the composed tape's order,
+/// so results stay bit-identical to the composed backward on the scalar
+/// backend even when q/k/v alias one buffer.
 void FusedAttentionBackward(const float* q, const float* k, const float* v,
                             const float* probs, const float* drop_mask,
                             const float* gout, float* dq, float* dk, float* dv,

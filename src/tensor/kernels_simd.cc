@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #if defined(__x86_64__) || defined(__amd64__)
 #define STISAN_SIMD_X86 1
@@ -10,109 +11,9 @@
 
 namespace stisan::kernels::simd {
 
-namespace {
-
-// ---- Scalar fallbacks ------------------------------------------------------
-// Mirror the reference loops in kernels.cc. Dispatch never routes here when
-// !Available(), but keeping real implementations (rather than aborts) means
-// a dispatch bug degrades to correct-but-scalar instead of a crash.
-
-void GemmRowRangeScalar(const float* a, const float* b, float* c, int64_t m,
-                        int64_t k, int64_t n, bool ta, bool tb,
-                        int64_t i0, int64_t i1) {
-  if (!ta && !tb) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* crow = c + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = a[i * k + p];
-        if (av == 0.0f) continue;
-        const float* brow = b + p * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  } else if (!ta && tb) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * k;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = b + j * k;
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        c[i * n + j] += acc;
-      }
-    }
-  } else if (ta && !tb) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* crow = c + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = a[p * m + i];
-        if (av == 0.0f) continue;
-        const float* brow = b + p * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  } else {
-    for (int64_t i = i0; i < i1; ++i)
-      for (int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) acc += a[p * m + i] * b[j * k + p];
-        c[i * n + j] += acc;
-      }
-  }
-}
-
-void RowSoftmaxScalar(const float* x, float* y, int64_t d) {
-  float mx = x[0];
-  for (int64_t j = 1; j < d; ++j) mx = std::max(mx, x[j]);
-  float sum = 0.0f;
-  for (int64_t j = 0; j < d; ++j) {
-    y[j] = std::exp(x[j] - mx);
-    sum += y[j];
-  }
-  const float inv = 1.0f / sum;
-  for (int64_t j = 0; j < d; ++j) y[j] *= inv;
-}
-
-void LayerNormRowScalar(const float* xr, const float* gamma, const float* beta,
-                        float* yr, float* mu, float* is_out, int64_t d,
-                        float eps) {
-  float m = 0.0f;
-  for (int64_t j = 0; j < d; ++j) m += xr[j];
-  m /= static_cast<float>(d);
-  float var = 0.0f;
-  for (int64_t j = 0; j < d; ++j) {
-    const float c = xr[j] - m;
-    var += c * c;
-  }
-  var /= static_cast<float>(d);
-  const float is = 1.0f / std::sqrt(var + eps);
-  *mu = m;
-  *is_out = is;
-  for (int64_t j = 0; j < d; ++j) yr[j] = gamma[j] * (xr[j] - m) * is + beta[j];
-}
-
-void AttentionRowScalar(const float* qrow, const float* kblk, const float* vblk,
-                        const float* brow, const float* mrow, float* prow,
-                        float* orow, int64_t bound, int64_t d, float scale) {
-  for (int64_t j = 0; j < bound; ++j) {
-    const float* krow = kblk + j * d;
-    float acc = 0.0f;
-    for (int64_t c = 0; c < d; ++c) acc += qrow[c] * krow[c];
-    float x = acc * scale;
-    if (brow != nullptr) x += brow[j];
-    prow[j] = x;
-  }
-  RowSoftmaxScalar(prow, prow, bound);
-  std::fill(orow, orow + d, 0.0f);
-  for (int64_t j = 0; j < bound; ++j) {
-    float av = prow[j];
-    if (mrow != nullptr) av *= mrow[j];
-    if (av == 0.0f) continue;
-    const float* vrow = vblk + j * d;
-    for (int64_t c = 0; c < d; ++c) orow[c] += av * vrow[c];
-  }
-}
-
 #if STISAN_SIMD_X86
+
+namespace {
 
 // ---- AVX2 + FMA ------------------------------------------------------------
 // Every function carries the target attribute so the file builds with the
@@ -268,16 +169,18 @@ STISAN_AVX2 void GemmRowRangeAvx2(const float* a, const float* b, float* c,
 }
 
 // y = softmax(x) over one row of length d. x may alias y: the max pass only
-// reads x, the exp pass is elementwise, the scale pass only touches y.
+// reads x, the exp pass is elementwise, the scale pass only touches y. A
+// row shorter than one vector runs wholly in the scalar tails, which
+// compute exactly what the scalar kernel does.
 STISAN_AVX2 void RowSoftmaxAvx2(const float* x, float* y, int64_t d) {
-  if (d < 8) {
-    RowSoftmaxScalar(x, y, d);
-    return;
+  float mx = x[0];
+  int64_t j = 1;
+  if (d >= 8) {
+    __m256 vmx = _mm256_loadu_ps(x);
+    for (j = 8; j + 8 <= d; j += 8)
+      vmx = _mm256_max_ps(vmx, _mm256_loadu_ps(x + j));
+    mx = ReduceMax(vmx);
   }
-  __m256 vmx = _mm256_loadu_ps(x);
-  int64_t j = 8;
-  for (; j + 8 <= d; j += 8) vmx = _mm256_max_ps(vmx, _mm256_loadu_ps(x + j));
-  float mx = ReduceMax(vmx);
   for (; j < d; ++j) mx = std::max(mx, x[j]);
   const __m256 vm = _mm256_set1_ps(mx);
   __m256 vsum = _mm256_setzero_ps();
@@ -301,10 +204,6 @@ STISAN_AVX2 void RowSoftmaxAvx2(const float* x, float* y, int64_t d) {
 STISAN_AVX2 void LayerNormRowAvx2(const float* xr, const float* gamma,
                                   const float* beta, float* yr, float* mu,
                                   float* is_out, int64_t d, float eps) {
-  if (d < 8) {
-    LayerNormRowScalar(xr, gamma, beta, yr, mu, is_out, d, eps);
-    return;
-  }
   __m256 vsum = _mm256_setzero_ps();
   int64_t j = 0;
   for (; j + 8 <= d; j += 8)
@@ -357,92 +256,66 @@ STISAN_AVX2 void AttentionRowAvx2(const float* qrow, const float* kblk,
   }
 }
 
-bool HasAvx2() {
+}  // namespace
+
+bool Available() {
   static const bool has = [] {
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") != 0;
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }();
   return has;
 }
 
-#endif  // STISAN_SIMD_X86
-
-}  // namespace
-
-bool Available() {
-#if STISAN_SIMD_X86
-  return HasAvx2();
-#else
-  return false;
-#endif
-}
-
-const char* Name() {
-#if STISAN_SIMD_X86
-  return "avx2";
-#else
-  return "scalar";
-#endif
-}
+const char* Name() { return "avx2"; }
 
 void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n, bool ta, bool tb, bool accumulate,
-                  int64_t i0, int64_t i1) {
-  if (!accumulate) std::fill(c + i0 * n, c + i1 * n, 0.0f);
-  if (ta && tb) {  // cold path: keep the reference loop
-    GemmRowRangeScalar(a, b, c, m, k, n, ta, tb, i0, i1);
-    return;
-  }
-#if STISAN_SIMD_X86
-  if (HasAvx2()) {
-    GemmRowRangeAvx2(a, b, c, m, k, n, ta, tb, i0, i1);
-    return;
-  }
-#endif
-  GemmRowRangeScalar(a, b, c, m, k, n, ta, tb, i0, i1);
+                  int64_t k, int64_t n, bool ta, bool tb, int64_t i0,
+                  int64_t i1) {
+  GemmRowRangeAvx2(a, b, c, m, k, n, ta, tb, i0, i1);
 }
 
 void SoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
                      int64_t r1) {
-  for (int64_t r = r0; r < r1; ++r) {
-#if STISAN_SIMD_X86
-    if (HasAvx2()) {
-      RowSoftmaxAvx2(x + r * d, y + r * d, d);
-      continue;
-    }
-#endif
-    RowSoftmaxScalar(x + r * d, y + r * d, d);
-  }
+  for (int64_t r = r0; r < r1; ++r) RowSoftmaxAvx2(x + r * d, y + r * d, d);
 }
 
 void LayerNormRowRange(const float* x, const float* gamma, const float* beta,
                        float* y, float* mu, float* inv_sigma, int64_t d,
                        float eps, int64_t r0, int64_t r1) {
   for (int64_t r = r0; r < r1; ++r) {
-#if STISAN_SIMD_X86
-    if (HasAvx2()) {
-      LayerNormRowAvx2(x + r * d, gamma, beta, y + r * d, mu + r,
-                       inv_sigma + r, d, eps);
-      continue;
-    }
-#endif
-    LayerNormRowScalar(x + r * d, gamma, beta, y + r * d, mu + r,
-                       inv_sigma + r, d, eps);
+    LayerNormRowAvx2(x + r * d, gamma, beta, y + r * d, mu + r,
+                     inv_sigma + r, d, eps);
   }
 }
 
 void AttentionRow(const float* qrow, const float* kblk, const float* vblk,
                   const float* brow, const float* mrow, float* prow,
                   float* orow, int64_t bound, int64_t d, float scale) {
-#if STISAN_SIMD_X86
-  if (HasAvx2()) {
-    AttentionRowAvx2(qrow, kblk, vblk, brow, mrow, prow, orow, bound, d,
-                     scale);
-    return;
-  }
-#endif
-  AttentionRowScalar(qrow, kblk, vblk, brow, mrow, prow, orow, bound, d,
-                     scale);
+  AttentionRowAvx2(qrow, kblk, vblk, brow, mrow, prow, orow, bound, d, scale);
 }
+
+#else  // !STISAN_SIMD_X86
+
+// No vector backend on this target: Available() is false, so kernels.cc
+// never calls the entry points below.
+bool Available() { return false; }
+const char* Name() { return "scalar"; }
+void GemmRowRange(const float*, const float*, float*, int64_t, int64_t,
+                  int64_t, bool, bool, int64_t, int64_t) {
+  std::abort();
+}
+void SoftmaxRowRange(const float*, float*, int64_t, int64_t, int64_t) {
+  std::abort();
+}
+void LayerNormRowRange(const float*, const float*, const float*, float*,
+                       float*, float*, int64_t, float, int64_t, int64_t) {
+  std::abort();
+}
+void AttentionRow(const float*, const float*, const float*, const float*,
+                  const float*, float*, float*, int64_t, int64_t, float) {
+  std::abort();
+}
+
+#endif  // STISAN_SIMD_X86
 
 }  // namespace stisan::kernels::simd

@@ -1,10 +1,11 @@
 // Vectorized kernel backend (internal to src/tensor and benchmarks).
 //
-// Explicit SIMD implementations of the hot forward kernels: AVX2+FMA on
-// x86-64, selected by runtime CPU detection. Every other CPU runs the
-// scalar loops in kernels.cc, which remain the bit-exactness reference;
-// dispatch between the two lives in kernels.cc behind
-// kernels::SimdEnabled() (STISAN_SIMD=0 kill switch).
+// Explicit SIMD implementations of the hot kernels: AVX2+FMA on x86-64,
+// selected by runtime CPU detection. This file holds vector code only.
+// Every other CPU runs the scalar loops in kernels.cc, which remain the
+// bit-exactness reference; kernels::SimdEnabled() (STISAN_SIMD=0 kill
+// switch) is the one dispatch between the two, and the entry points below
+// are called only when Available() (elsewhere they abort).
 //
 // Determinism contract (same as the scalar backend): the reduction order of
 // every output element depends only on the reduction length and absolute
@@ -31,19 +32,21 @@ bool Available();
 /// only when Available().
 const char* Name();
 
-/// Row-range GEMM, same semantics as the scalar GemmRowRange in kernels.cc:
-/// C[i0:i1, :] (+)= A x B, A [m,k] (or [k,m] when ta), B [k,n] ([n,k] when
-/// tb). The doubly-transposed (ta && tb) variant stays scalar — nothing in
-/// the model emits it on a hot path.
+/// Row-range GEMM accumulate, C[i0:i1, :] += A x B, with A [m,k] (or [k,m]
+/// when ta) and B [k,n] ([n,k] when tb). At most one of ta, tb may be set:
+/// kernels.cc runs the doubly-transposed variant, which no production op
+/// emits, on its scalar loop, and zero-fills C itself when not
+/// accumulating.
 void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n, bool ta, bool tb, bool accumulate,
-                  int64_t i0, int64_t i1);
+                  int64_t k, int64_t n, bool ta, bool tb, int64_t i0,
+                  int64_t i1);
 
 /// y[r,:] = softmax(x[r,:]) for r in [r0, r1). x may alias y.
 void SoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
                      int64_t r1);
 
 /// Layer norm rows [r0, r1); writes y plus per-row mu / inv_sigma.
+/// kernels.cc sends only d >= 8 here and keeps shorter rows on its loop.
 void LayerNormRowRange(const float* x, const float* gamma, const float* beta,
                        float* y, float* mu, float* inv_sigma, int64_t d,
                        float eps, int64_t r0, int64_t r1);

@@ -1026,16 +1026,13 @@ Tensor FusedAttention(const Tensor& q_in, const Tensor& k_in,
         if (need_k) ki->EnsureGrad();
         if (need_v) vi->EnsureGrad();
         if (need_b) bi->EnsureGrad();
-        std::vector<float> ds;
-        if (need_q || need_k || need_b)
-          ds.assign(static_cast<size_t>(batch * m * n), 0.0f);
+        std::vector<float> ds(static_cast<size_t>(batch * m * n));
         kernels::FusedAttentionBackward(
             qi->Data(), ki->Data(), vi->Data(), probs->data(),
             drop_mask != nullptr ? drop_mask->data() : nullptr, self.Grad(),
             need_q ? qi->Grad() : nullptr, need_k ? ki->Grad() : nullptr,
             need_v ? vi->Grad() : nullptr, need_b ? bi->Grad() : nullptr,
-            ds.empty() ? nullptr : ds.data(), batch, m, n, d, causal, scale,
-            bias_broadcast);
+            ds.data(), batch, m, n, d, causal, scale, bias_broadcast);
       });
   kernels::FusedAttentionForward(
       q.data(), k.data(), v.data(), bias.defined() ? bias.data() : nullptr,

@@ -8,7 +8,8 @@
 //     composed per-op chain, built here from public ops as the oracle:
 //     forward, input grads, learned-bias grads and the dropout RNG stream,
 //  3. bit-determinism across thread counts on shapes large enough to
-//     actually split in ParallelRanges.
+//     actually split in ParallelRanges: a batched shape (BatchedGemm's
+//     batch split) and the 2-D training shapes (Gemm's row split).
 
 #include <gtest/gtest.h>
 
@@ -378,6 +379,52 @@ TEST(FusedDeterminism, BitIdenticalAcrossThreadCounts) {
   kernels::SetNumThreads(0);  // restore the default pool
   EXPECT_EQ(serial.forward, parallel.forward);
   EXPECT_EQ(serial.grads, parallel.grads);
+}
+
+TEST(FusedDeterminism, TrainingShapesBitIdenticalAcrossThreadCounts) {
+  // One training window's 2-D calls at d = 32: IAAB self-attention (causal,
+  // relation bias, attention dropout) and TAAD (400 candidate rows, k and
+  // v one tensor). Their backward products are row-split Gemm calls at 4
+  // threads; both backends keep the bits of the serial run.
+  auto run = [](int64_t threads) {
+    kernels::SetNumThreads(threads);
+    LoweringResult r;
+    Tensor q = RandomInput({100, 32}, 101);
+    Tensor k = RandomInput({100, 32}, 102);
+    Tensor v = RandomInput({100, 32}, 103);
+    Tensor bias = RandomInput({100, 100}, 104, 0.1f);
+    Rng drop(105);
+    ops::FusedAttentionOptions options;
+    options.causal = true;
+    options.scale = 1.0f / std::sqrt(32.0f);
+    options.dropout_p = 0.2f;
+    options.training = true;
+    options.rng = &drop;
+    Tensor y = ops::FusedAttention(q, k, v, bias, options);
+    Tensor f = RandomInput({100, 32}, 106);
+    Tensor c = RandomInput({400, 32}, 107);
+    std::vector<int64_t> step_of_row(400);
+    for (int64_t row = 0; row < 400; ++row) step_of_row[size_t(row)] = row / 4;
+    Tensor s = core::TaadDecode(c, f, step_of_row, /*first_real=*/10);
+    r.forward = y.ToVector();
+    const auto sv = s.ToVector();
+    r.forward.insert(r.forward.end(), sv.begin(), sv.end());
+    (ops::Sum(ops::Square(y)) + ops::Sum(ops::Square(s))).Backward();
+    for (const Tensor& t : {q, k, v, bias, f, c}) {
+      auto g = GradVector(t);
+      r.grads.insert(r.grads.end(), g.begin(), g.end());
+    }
+    return r;
+  };
+  for (int simd : {0, 1}) {
+    kernels::SetSimdEnabledForTesting(simd);
+    const LoweringResult serial = run(1);
+    const LoweringResult parallel = run(4);
+    EXPECT_EQ(serial.forward, parallel.forward) << "simd=" << simd;
+    EXPECT_EQ(serial.grads, parallel.grads) << "simd=" << simd;
+  }
+  kernels::SetSimdEnabledForTesting(-1);
+  kernels::SetNumThreads(0);  // restore the default pool
 }
 
 }  // namespace

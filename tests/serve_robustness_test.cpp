@@ -441,6 +441,19 @@ TEST_F(ServeRobustnessTest, ConstructionRequiresCatalogSize) {
   EXPECT_DEATH({ RecommendService service(&model, so); }, "num_pois");
 }
 
+// A catalog larger than the model's vocabulary let an unknown id through
+// validation, and the next score aborted at the embedding lookup. The
+// constructor refuses such a catalog now.
+TEST_F(ServeRobustnessTest, ConstructionRejectsCatalogBeyondModel) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::StisanModel model(ds_, TinyStisanOptions());
+  ServeOptions so;
+  so.start_worker = false;
+  so.num_pois = ds_.num_pois() + 1;
+  EXPECT_DEATH({ RecommendService service(&model, so); },
+               "exceeds the model's catalog");
+}
+
 // ---------------------------------------------------------------------------
 // 4. Admission control.
 // ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@
 //     per-element reduction order never depends on the row partition) and
 //     repeat-call determinism.
 //  4. Dispatch controls: SetSimdEnabledForTesting and SimdBackendName.
+//  5. ops::FusedAttention gradients at model shapes (d = 32), whose
+//     backward products run on the AVX2 GEMM strips under SIMD.
 //
 // When the host CPU has no vector backend (x86 without AVX2), the
 // comparisons degenerate to scalar-vs-scalar and pass trivially; the
@@ -22,9 +24,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "tensor/kernels.h"
+#include "tensor/ops.h"
 #include "util/rng.h"
 
 namespace stisan {
@@ -294,6 +298,85 @@ TEST(SimdDispatch, OverrideAndBackendName) {
       // Forced on without hardware support: stays (honestly) scalar.
       EXPECT_STREQ(kernels::SimdBackendName(), "scalar");
     }
+  }
+}
+
+// ---- 5. Attention gradients at model shapes ---------------------------------
+
+// One training attention call: q [batch, m, d] against k/v [batch, n, d]
+// (batch 0 = 2-D). kv_alias passes one tensor as k and v, like TAAD.
+struct AttnGradCase {
+  std::string name;
+  int64_t batch, m, n, d;
+  bool causal;
+  bool kv_alias;
+  // Learned bias the shape of the logits, a learned [m, n] shared across
+  // the batch, or TAAD's constant -1e9 visibility mask.
+  enum { kNone, kFull, kShared, kMask } bias;
+  float dropout_p;
+};
+
+// Forward output followed by the q, k, v and learned-bias grads, under the
+// given backend. The loss Σ y ∘ w with a fixed random w gives every output
+// element its own gradient.
+std::vector<float> FusedAttentionGrads(const AttnGradCase& c, int simd_mode) {
+  ScopedSimd guard(simd_mode);
+  Rng init(900);
+  auto shape = [&](int64_t rows) {
+    return c.batch == 0 ? Shape{rows, c.d} : Shape{c.batch, rows, c.d};
+  };
+  Tensor q = Tensor::Randn(shape(c.m), init, 0.5f, /*requires_grad=*/true);
+  Tensor k = Tensor::Randn(shape(c.n), init, 0.5f, /*requires_grad=*/true);
+  Tensor v = c.kv_alias ? k
+                        : Tensor::Randn(shape(c.n), init, 0.5f,
+                                        /*requires_grad=*/true);
+  Tensor bias;
+  if (c.bias == AttnGradCase::kMask) {
+    // Row r decodes at step r % n and sees keys 0..step.
+    bias = Tensor::Zeros({c.m, c.n});
+    for (int64_t r = 0; r < c.m; ++r)
+      for (int64_t j = r % c.n + 1; j < c.n; ++j)
+        bias.data()[r * c.n + j] = -1e9f;
+  } else if (c.bias == AttnGradCase::kFull) {
+    bias = Tensor::Randn(c.batch == 0 ? Shape{c.m, c.n}
+                                      : Shape{c.batch, c.m, c.n},
+                         init, 0.1f, /*requires_grad=*/true);
+  } else if (c.bias == AttnGradCase::kShared) {
+    bias = Tensor::Randn({c.m, c.n}, init, 0.1f, /*requires_grad=*/true);
+  }
+  Rng drop(901);
+  ops::FusedAttentionOptions options;
+  options.causal = c.causal;
+  options.scale = 1.0f / std::sqrt(static_cast<float>(c.d));
+  options.dropout_p = c.dropout_p;
+  options.training = c.dropout_p > 0.0f;
+  options.rng = &drop;
+  Tensor y = ops::FusedAttention(q, k, v, bias, options);
+  Tensor w = Tensor::Randn(y.shape(), init, 1.0f);
+  ops::Sum(ops::Mul(y, w)).Backward();
+  std::vector<float> out = y.ToVector();
+  std::vector<Tensor> inputs = {q, k};
+  if (!c.kv_alias) inputs.push_back(v);
+  if (bias.defined() && bias.requires_grad()) inputs.push_back(bias);
+  for (const Tensor& t : inputs)
+    out.insert(out.end(), t.grad_data(), t.grad_data() + t.numel());
+  return out;
+}
+
+TEST(SimdAttention, GradientsAgreeOnModelShapes) {
+  const std::vector<AttnGradCase> cases = {
+      // IAAB self-attention over one training window: causal, relation
+      // bias, attention dropout.
+      {"self n=100", 0, 100, 100, 32, true, false, AttnGradCase::kFull, 0.2f},
+      // TAAD: many candidate rows against one window, k and v one tensor.
+      {"taad M=400", 0, 400, 100, 32, false, true, AttnGradCase::kMask, 0.0f},
+      // A padded batch sharing one [m, n] bias.
+      {"batch b=3", 3, 40, 40, 32, true, false, AttnGradCase::kShared, 0.0f},
+  };
+  for (const auto& c : cases) {
+    const auto scalar = FusedAttentionGrads(c, 0);
+    const auto simd = FusedAttentionGrads(c, 1);
+    ExpectClose(simd, scalar, 1e-5f, 1e-4f, "attention grads " + c.name);
   }
 }
 
