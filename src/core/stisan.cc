@@ -297,9 +297,9 @@ std::vector<std::vector<float>> StisanModel::ScorePadded(
     std::span<const std::vector<int64_t>> candidates) {
   const int64_t bsz = static_cast<int64_t>(instances.size());
   const int64_t n = static_cast<int64_t>(instances[0]->poi.size());
-  // Mixed-length batches (length-1 deltas from the serving fallback path,
-  // ragged ad-hoc callers) cannot share one padded forward; degrade to
-  // per-instance scoring instead of CHECK-failing inside EncodeBatch.
+  // Mixed-length batches (ragged ad-hoc callers) cannot share one padded
+  // forward; degrade to per-instance scoring instead of CHECK-failing
+  // inside EncodeBatch.
   for (const auto* inst : instances) {
     if (static_cast<int64_t>(inst->poi.size()) != n) {
       return SequentialRecommender::ScoreBatch(

@@ -30,9 +30,8 @@ class BatchScorer {
   /// instance, each the same length as its candidate list (higher = more
   /// likely next POI). The padded forward is taken when all instances in
   /// the batch share a sequence length (the evaluator always batches that
-  /// way); mixed-length batches — as produced by the serving fallback
-  /// path — degrade gracefully to per-instance scoring. Candidate lists
-  /// may differ in length either way.
+  /// way); a mixed-length batch degrades gracefully to per-instance
+  /// scoring. Candidate lists may differ in length either way.
   virtual std::vector<std::vector<float>> ScoreBatch(
       const std::vector<const data::EvalInstance*>& instances,
       const std::vector<std::vector<int64_t>>& candidates) = 0;

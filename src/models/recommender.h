@@ -55,7 +55,9 @@ class SequentialRecommender : public eval::BatchScorer {
   virtual int64_t num_pois() const = 0;
 
   /// Scores each candidate POI given the instance's history; higher means
-  /// more likely to be visited next.
+  /// more likely to be visited next. Eval-mode calls may run concurrently
+  /// (the serving runtime scores users side by side on the kernel pool):
+  /// every in-tree model only reads its parameters here.
   virtual std::vector<float> Score(
       const data::EvalInstance& instance,
       const std::vector<int64_t>& candidates) = 0;

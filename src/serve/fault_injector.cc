@@ -9,9 +9,7 @@ void ServeFaultInjector::SetPlan(const ServeFaultPlan& plan) {
   plan_ = plan;
   scores_seen_.store(0);
   evict_clock_.store(0);
-  batches_seen_.store(0);
   score_throws_.store(0);
-  batch_throws_.store(0);
   forced_evictions_.store(0);
 }
 
@@ -38,15 +36,6 @@ void ServeFaultInjector::MaybeThrowOnScore() {
   }
   score_throws_.fetch_add(1);
   throw ServeFaultError("injected scorer fault");
-}
-
-void ServeFaultInjector::MaybeThrowOnBatch() {
-  const int64_t n = batches_seen_.fetch_add(1) + 1;
-  if (plan_.throw_every_batches <= 0 || n % plan_.throw_every_batches != 0) {
-    return;
-  }
-  batch_throws_.fetch_add(1);
-  throw ServeFaultError("injected batch fault");
 }
 
 }  // namespace stisan::serve

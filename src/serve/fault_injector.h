@@ -8,9 +8,8 @@
 //   - scorer throws: every Nth incremental or cold-start score op raises
 //     ServeFaultError while it is sequenced, exercising the worker's
 //     exception barrier — the affected request must resolve with kInternal
-//     and the service must keep serving;
-//   - batch throws: every Nth fallback ScoreBatch call fails before the
-//     forward, so an entire coalesced batch's promises must resolve;
+//     and the service must keep serving. Scores past the serving window
+//     and scores from non-STiSAN models do not reach this hook;
 //   - forced evictions: every Nth score first drops the serving user's
 //     resident cache state (history kept), forcing a mid-batch cold
 //     rebuild that must stay bit-identical;
@@ -30,7 +29,7 @@
 
 namespace stisan::serve {
 
-/// Exception raised by injected scorer/batch faults. Deliberately derived
+/// Exception raised by injected scorer faults. Deliberately derived
 /// from std::runtime_error: the service's barrier must not special-case
 /// it — any std::exception escaping the scoring path gets the same
 /// kInternal treatment.
@@ -43,8 +42,6 @@ struct ServeFaultError : std::runtime_error {
 struct ServeFaultPlan {
   /// Throw ServeFaultError from the scoring path on every Nth score op.
   int64_t throw_every_scores = 0;
-  /// Throw ServeFaultError before every Nth fallback ScoreBatch forward.
-  int64_t throw_every_batches = 0;
   /// Force-evict the serving user's cache state before every Nth score.
   int64_t evict_every_scores = 0;
   /// Sleep this long before processing each dequeued batch.
@@ -74,25 +71,17 @@ class ServeFaultInjector {
   /// score-throw period fires.
   void MaybeThrowOnScore();
 
-  /// Called before each fallback ScoreBatch forward; throws
-  /// ServeFaultError when the batch-throw period fires.
-  void MaybeThrowOnBatch();
-
   // ---- Counters (read by tests after Drain()/shutdown) ----
 
   int64_t scores_seen() const { return scores_seen_.load(); }
-  int64_t batches_seen() const { return batches_seen_.load(); }
   int64_t score_throws() const { return score_throws_.load(); }
-  int64_t batch_throws() const { return batch_throws_.load(); }
   int64_t forced_evictions() const { return forced_evictions_.load(); }
 
  private:
   ServeFaultPlan plan_;
   std::atomic<int64_t> scores_seen_{0};
   std::atomic<int64_t> evict_clock_{0};
-  std::atomic<int64_t> batches_seen_{0};
   std::atomic<int64_t> score_throws_{0};
-  std::atomic<int64_t> batch_throws_{0};
   std::atomic<int64_t> forced_evictions_{0};
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -39,8 +38,6 @@ struct ServeMetrics {
   obs::Histogram& queue_wait = obs::GetHistogram("serve/queue_wait");
   obs::Histogram& queue_depth =
       obs::GetHistogram("serve/queue_depth", obs::CountBounds());
-  obs::Histogram& batch_size =
-      obs::GetHistogram("serve/batch_size", obs::CountBounds());
   obs::Histogram& catalog_pool_size =
       obs::GetHistogram("serve/catalog_pool_size", obs::CountBounds());
 };
@@ -77,7 +74,13 @@ RecommendService::RecommendService(models::SequentialRecommender* model,
   }
   if (options_.poi_coords != nullptr) {
     STISAN_CHECK_GE(options_.catalog_pool_size, 1);
-    STISAN_CHECK_GE(static_cast<int64_t>(options_.poi_coords->size()), 2);
+    // Stage one must return only ids the model can embed.
+    STISAN_CHECK_MSG(
+        static_cast<int64_t>(options_.poi_coords->size()) ==
+            options_.num_pois + 1,
+        "ServeOptions::poi_coords has " << options_.poi_coords->size()
+            << " entries; num_pois " << options_.num_pois << " needs "
+            << options_.num_pois + 1);
     // Index id = poi - 1 (entry 0 is the padding POI).
     catalog_index_ = std::make_unique<geo::SpatialGridIndex>(
         std::vector<geo::GeoPoint>(options_.poi_coords->begin() + 1,
@@ -318,10 +321,10 @@ void RecommendService::WorkerLoop() {
       // Leftover queue entries are resolved (kUnavailable) by Shutdown.
       if (stop_) return;
       if (options_.batch_window_us > 0) {
-        // Coalescing window: let concurrent requests pile up so fallback
-        // scores share one padded forward. Cut short once a full batch
-        // is waiting, shutdown begins, or — deadline pressure — waiting
-        // any longer would expire a queued request.
+        // Coalescing window: let concurrent requests pile up so one pass
+        // serves many users' tasks side by side. Cut short once max_batch
+        // ops are waiting, shutdown begins, or — deadline pressure —
+        // waiting any longer would expire a queued request.
         auto cut = std::chrono::steady_clock::now() +
                    std::chrono::microseconds(options_.batch_window_us);
         auto tighten = [this, &cut] {
@@ -390,84 +393,7 @@ void RecommendService::Expire(Op& op) {
   Fail(op, Status::DeadlineExceeded("deadline expired before serving"));
 }
 
-void RecommendService::FlushFallback(std::vector<Op>* pending) {
-  if (pending->empty()) return;
-  ServeMetrics& m = Metrics();
-  // Group by sequence length (the padded batch path shares one length per
-  // forward), preserving arrival order within and across groups.
-  std::vector<int64_t> lengths;
-  for (const Op& op : *pending) {
-    const int64_t n = static_cast<int64_t>(op.instance.poi.size());
-    if (std::find(lengths.begin(), lengths.end(), n) == lengths.end()) {
-      lengths.push_back(n);
-    }
-  }
-  for (int64_t n : lengths) {
-    std::vector<Op*> group;
-    for (Op& op : *pending) {
-      if (static_cast<int64_t>(op.instance.poi.size()) == n) {
-        group.push_back(&op);
-      }
-    }
-    for (size_t start = 0; start < group.size();
-         start += static_cast<size_t>(options_.max_batch)) {
-      const size_t end = std::min(
-          group.size(), start + static_cast<size_t>(options_.max_batch));
-      // Deadline re-check at the last moment before this chunk's forward:
-      // ops that expired while coalescing — or while an earlier chunk of
-      // this same flush was forwarding — resolve kDeadlineExceeded
-      // instead of paying for a padded forward.
-      const auto now = std::chrono::steady_clock::now();
-      std::vector<Op*> chunk;
-      std::vector<const data::EvalInstance*> instances;
-      std::vector<std::vector<int64_t>> candidates;
-      for (size_t i = start; i < end; ++i) {
-        if (group[i]->has_deadline && now > group[i]->deadline) {
-          Expire(*group[i]);
-          continue;
-        }
-        chunk.push_back(group[i]);
-        instances.push_back(&group[i]->instance);
-        candidates.push_back(group[i]->candidates);
-      }
-      if (chunk.empty()) continue;
-      // Exception barrier: a throwing forward fails exactly this chunk's
-      // promises with kInternal; earlier chunks keep their scores and the
-      // worker keeps serving.
-      try {
-        if (options_.fault_injector != nullptr) {
-          options_.fault_injector->MaybeThrowOnBatch();
-        }
-        m.batch_size.Observe(static_cast<double>(instances.size()));
-        auto scores = model_->ScoreBatch(instances, candidates);
-        if (scores.size() != instances.size()) {
-          throw std::runtime_error("ScoreBatch returned " +
-                                   std::to_string(scores.size()) +
-                                   " results for " +
-                                   std::to_string(instances.size()) +
-                                   " instances");
-        }
-        for (size_t i = 0; i < chunk.size(); ++i) {
-          m.fallback.Inc();
-          Fulfil(*chunk[i], std::move(scores[i]));
-        }
-      } catch (const std::exception& e) {
-        m.batch_failures.Inc();
-        for (Op* op : chunk) {
-          if (!op->resolved) {
-            Fail(*op,
-                 Status::Internal(std::string("batch forward failed: ") +
-                                  e.what()));
-          }
-        }
-      }
-    }
-  }
-  pending->clear();
-}
-
-void RecommendService::ServeScore(Op& op, std::vector<Op>* pending,
-                                  ScoreSchedule* schedule) {
+void RecommendService::ServeScore(Op& op, ScoreSchedule* schedule) {
   ServeMetrics& m = Metrics();
   m.requests.Inc();
   if (op.has_deadline && std::chrono::steady_clock::now() > op.deadline) {
@@ -490,12 +416,6 @@ void RecommendService::ServeScore(Op& op, std::vector<Op>* pending,
                    std::to_string(op.user)));
       return;
     }
-    if (!GenerateCatalogPool(op, s)) return;
-    if (op.candidates.empty()) {
-      // Everything in range is already visited: a valid empty result.
-      Fulfil(op, {});
-      return;
-    }
   }
   if (len == 0) {
     // Cold start: nothing to condition on; scores are all zero.
@@ -504,16 +424,17 @@ void RecommendService::ServeScore(Op& op, std::vector<Op>* pending,
     Fulfil(op, std::vector<float>(op.candidates.size(), 0.0f));
     return;
   }
+  auto slot = schedule->slot_of_user.find(op.user);
+  std::shared_ptr<core::IncrementalState> state;
   if (engine_ != nullptr && len <= options_.max_seq_len) {
     const int64_t evictions_before = store_.evictions();
     store_.MarkResident(s, s.state ? nullptr : engine_->NewState());
     m.evictions.Inc(
         static_cast<uint64_t>(store_.evictions() - evictions_before));
     // The state's cached_len moves only when the execution pass runs the
-    // scores; an earlier recorded score on this same state will have
-    // synced it to that score's length by the time this one runs.
-    auto slot = schedule->slot_of_user.find(op.user);
-    const IncrementalJob* last =
+    // jobs; an earlier job on this same state will have synced it to that
+    // job's length by the time this one runs.
+    const ScoreJob* last =
         slot == schedule->slot_of_user.end()
             ? nullptr
             : &schedule->per_user[slot->second].back();
@@ -523,72 +444,73 @@ void RecommendService::ServeScore(Op& op, std::vector<Op>* pending,
             : s.state->cached_len;
     if (synced_len == 0 && len > 1) m.cold_builds.Inc();
     if (inj != nullptr) inj->MaybeThrowOnScore();
-    op.instance.user = op.user;
-    op.instance.poi = s.pois;
-    op.instance.t = s.timestamps;
-    op.instance.first_real = 0;
-    if (slot == schedule->slot_of_user.end()) {
-      slot = schedule->slot_of_user
-                 .emplace(op.user, schedule->per_user.size())
-                 .first;
-      schedule->per_user.emplace_back();
-    }
-    op.handed_off = true;
-    schedule->per_user[slot->second].push_back({std::move(op), s.state});
-    return;
+    state = s.state;
   }
-  // Fallback: trailing window through the padded batch path.
-  const int64_t n = std::min<int64_t>(len, options_.max_seq_len);
   op.instance.user = op.user;
-  op.instance.poi.assign(s.pois.end() - n, s.pois.end());
-  op.instance.t.assign(s.timestamps.end() - n, s.timestamps.end());
+  op.instance.poi = s.pois;
+  op.instance.t = s.timestamps;
   op.instance.first_real = 0;
-  op.handed_off = true;
-  pending->push_back(std::move(op));
-  if (static_cast<int64_t>(pending->size()) >= options_.max_batch) {
-    FlushFallback(pending);
+  if (slot == schedule->slot_of_user.end()) {
+    slot = schedule->slot_of_user
+               .emplace(op.user, schedule->per_user.size())
+               .first;
+    schedule->per_user.emplace_back();
   }
+  op.handed_off = true;
+  schedule->per_user[slot->second].push_back({std::move(op), std::move(state)});
 }
 
-bool RecommendService::GenerateCatalogPool(Op& op, const Session& session) {
-  ServeMetrics& m = Metrics();
-  const int64_t last_poi = session.pois.back();
-  if (last_poi <= 0 ||
-      last_poi >= static_cast<int64_t>(options_.poi_coords->size())) {
-    // History POIs are validated on Append against options.num_pois; a
-    // mismatch with the coordinate table is a configuration fault.
-    Fail(op, Status::Internal("history POI outside the catalog: " +
-                              std::to_string(last_poi)));
-    return false;
-  }
-  const std::unordered_set<int64_t> visited(session.pois.begin(),
-                                            session.pois.end());
+void RecommendService::GenerateCatalogPool(
+    Op& op, geo::SpatialGridIndex::QueryScratch* scratch) const {
+  const std::vector<int64_t>& history = op.instance.poi;
+  const std::unordered_set<int64_t> visited(history.begin(), history.end());
   std::vector<int64_t> pool;
   catalog_gen_->Generate(
-      (*options_.poi_coords)[static_cast<size_t>(last_poi)],
-      [&visited](int64_t id) { return !visited.contains(id + 1); },
-      &catalog_scratch_, &pool);
-  m.catalog_pool_size.Observe(static_cast<double>(pool.size()));
+      (*options_.poi_coords)[static_cast<size_t>(history.back())],
+      [&visited](int64_t id) { return !visited.contains(id + 1); }, scratch,
+      &pool);
+  Metrics().catalog_pool_size.Observe(static_cast<double>(pool.size()));
   op.candidates.clear();
   op.candidates.reserve(pool.size());
   for (int64_t id : pool) op.candidates.push_back(id + 1);
-  return true;
 }
 
-void RecommendService::RunIncremental(IncrementalJob& job) {
+void RecommendService::RunJob(ScoreJob& job,
+                              geo::SpatialGridIndex::QueryScratch* scratch) {
   Op& op = job.op;
   // Deadline re-check at the last moment: the op may have expired while
-  // this user's earlier scores, or other users' tasks ahead of this one,
-  // ran.
+  // this user's earlier jobs, or other users' tasks ahead of this one, ran.
   if (op.has_deadline && std::chrono::steady_clock::now() > op.deadline) {
     Expire(op);
     return;
   }
-  // Exception barrier: a throwing scorer fails only this request.
+  // Exception barrier: a throwing job fails only its own request.
   try {
-    std::vector<float> scores = engine_->Score(
-        *job.state, op.instance.poi, op.instance.t, op.candidates);
-    Metrics().incremental.Inc();
+    if (op.catalog) {
+      GenerateCatalogPool(op, scratch);
+      if (op.candidates.empty()) {
+        // Every catalog POI is already visited: a valid empty result.
+        Fulfil(op, {});
+        return;
+      }
+    }
+    data::EvalInstance& history = op.instance;
+    std::vector<float> scores;
+    if (job.state != nullptr) {
+      scores = engine_->Score(*job.state, history.poi, history.t,
+                              op.candidates);
+      Metrics().incremental.Inc();
+    } else {
+      // The trailing serving window through the model's own cold forward.
+      const size_t drop =
+          history.poi.size() -
+          std::min(history.poi.size(),
+                   static_cast<size_t>(options_.max_seq_len));
+      history.poi.erase(history.poi.begin(), history.poi.begin() + drop);
+      history.t.erase(history.t.begin(), history.t.begin() + drop);
+      scores = model_->Score(history, op.candidates);
+      Metrics().fallback.Inc();
+    }
     Fulfil(op, std::move(scores));
   } catch (const std::exception& e) {
     if (!op.resolved) {
@@ -599,16 +521,16 @@ void RecommendService::RunIncremental(IncrementalJob& job) {
 }
 
 void RecommendService::RunSchedule(ScoreSchedule* schedule) {
-  std::vector<std::vector<IncrementalJob>>& per_user = schedule->per_user;
-  // Each user's scores run in arrival order on one thread, so a state is
+  std::vector<std::vector<ScoreJob>>& per_user = schedule->per_user;
+  // Each user's jobs run in arrival order on one thread, so a state is
   // never shared between threads; distinct users run side by side.
-  kernels::GlobalPool().Run(static_cast<int64_t>(per_user.size()),
-                            [this, &per_user](int64_t u) {
-                              for (IncrementalJob& job :
-                                   per_user[static_cast<size_t>(u)]) {
-                                RunIncremental(job);
-                              }
-                            });
+  kernels::GlobalPool().Run(
+      static_cast<int64_t>(per_user.size()), [this, &per_user](int64_t u) {
+        geo::SpatialGridIndex::QueryScratch scratch;
+        for (ScoreJob& job : per_user[static_cast<size_t>(u)]) {
+          RunJob(job, &scratch);
+        }
+      });
 }
 
 void RecommendService::Process(std::vector<Op> ops) {
@@ -617,27 +539,18 @@ void RecommendService::Process(std::vector<Op> ops) {
     options_.fault_injector->OnBatchDequeued();
   }
   for (const Op& op : ops) m.queue_wait.Observe(SecondsSince(op.enqueued));
-  // Sequencing pass: every op in arrival order on this thread. Fallback
-  // scores are served here; incremental scores are recorded in `schedule`
-  // for the execution pass below.
-  std::vector<Op> pending;
+  // Sequencing pass: every op in arrival order on this thread. Scores it
+  // cannot answer on the spot are recorded in `schedule` for the execution
+  // pass below; each carries its own copy of the history, so later ops
+  // may change the session freely.
   ScoreSchedule schedule;
-  auto pending_user = [&pending](int64_t user) {
-    for (const Op& op : pending) {
-      if (op.user == user) return true;
-    }
-    return false;
-  };
   const size_t count = ops.size();
   for (Op& op : ops) {
     switch (op.kind) {
       case OpKind::kAppend: {
-        // Per-user FIFO: a queued fallback score must observe the history
-        // as of its own arrival, so flush before mutating it. The barrier
-        // swallows (state-mutation ops carry no promise): the worker must
-        // outlive any single failed op.
+        // The barrier swallows (state-mutation ops carry no promise): the
+        // worker must outlive any single failed op.
         try {
-          if (pending_user(op.user)) FlushFallback(&pending);
           store_.Append(op.user, op.poi, op.timestamp);
           m.appends.Inc();
           Session& s = store_.GetOrCreate(op.user);
@@ -653,22 +566,16 @@ void RecommendService::Process(std::vector<Op> ops) {
         }
         break;
       }
-      case OpKind::kEvict: {
-        try {
-          if (pending_user(op.user)) FlushFallback(&pending);
-          store_.Evict(op.user);
-        } catch (const std::exception&) {
-          m.batch_failures.Inc();
-        }
+      case OpKind::kEvict:
+        store_.Evict(op.user);
         break;
-      }
       case OpKind::kScore: {
         // Exception barrier: a throwing scorer (model fault, injected
         // fault, internal inconsistency) fails only this request with
         // kInternal; the worker — and every other queued request —
         // keeps going.
         try {
-          ServeScore(op, &pending, &schedule);
+          ServeScore(op, &schedule);
         } catch (const std::exception& e) {
           if (!op.resolved && !op.handed_off) {
             m.batch_failures.Inc();
@@ -680,7 +587,6 @@ void RecommendService::Process(std::vector<Op> ops) {
       }
     }
   }
-  FlushFallback(&pending);
   RunSchedule(&schedule);
   m.resident.Set(static_cast<double>(store_.resident_count()));
   {

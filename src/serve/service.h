@@ -9,28 +9,30 @@
 //     by the model, top-k returned (DESIGN.md §17)
 //
 // One worker drains the queue (optionally waiting a coalescing window so
-// concurrent requests batch) and processes each dequeued batch in two
-// passes (DESIGN.md §14):
+// concurrent requests from different users share one pass) and processes
+// each dequeued batch in two passes (DESIGN.md §14):
 //
 //   - Sequencing, on the worker: every op in arrival order — admission
 //     and deadline checks, fault hooks, appends, LRU marking and eviction,
-//     catalog stage one, every serve/* path counter. Requests the model
-//     cannot serve incrementally (non-STiSAN models, histories past the
-//     serving window) coalesce into the model's eval::BatchScorer
-//     padded-[B, n, d] path, grouped by sequence length; a queued fallback
-//     score flushes before a later op for the same user is applied.
-//     Incremental scores are only recorded: the op with its arrival-time
-//     history and the cache state it was assigned.
-//   - Execution: each user's recorded scores run in arrival order as one
-//     task on kernels::GlobalPool() (core::IncrementalScorer: cached
-//     embedding and relation rows, encoder rerun per score), different
-//     users concurrently. A task runs all its kernels on its own thread; a
-//     batch with one such user runs on the worker itself.
+//     cold starts, typed failures, the serve/* path counters. Every other
+//     score is only recorded as a job: the request, a copy of the user's
+//     full history as of arrival, and the cache state it was assigned
+//     (none for a score past the serving window or from a non-STiSAN
+//     model).
+//   - Execution: each user's jobs run in arrival order as one task on
+//     kernels::GlobalPool(), different users concurrently. A job re-checks
+//     its deadline, runs catalog stage one, then scores through
+//     core::IncrementalScorer (cached embedding and relation rows, encoder
+//     rerun per score) or a cold model->Score over the trailing
+//     max_seq_len window, and counts its own outcome. A task runs all its
+//     kernels on its own thread; a batch with one such user runs on the
+//     worker itself.
 //
 // So the session store, the LRU and the counters see exactly the
 // sequential op order, and each request's scores come from one thread.
-// Futures may resolve out of arrival order, within a user too: a batch's
-// incremental scores resolve after every answer its sequencing gave.
+// Within a user the jobs resolve in arrival order, but a batch's jobs
+// resolve after every answer its sequencing gave (expired at dequeue, cold
+// start, failed precondition, injected fault).
 //
 // Overload safety (DESIGN.md §15): every request resolves — with scores or
 // with a typed util::Status — and no input, fault, or load level crashes
@@ -41,15 +43,14 @@
 //     new op (kRejectNew, kResourceExhausted), or sheds the oldest queued
 //     score to admit the new op (kShedOldest).
 //   - Deadlines: per-request (or `default_deadline_us`) deadlines are
-//     checked at dequeue and again right before the fallback batch
-//     forward or the incremental score runs; expired requests resolve
-//     kDeadlineExceeded. Deadline pressure also cuts the coalescing window
-//     short.
-//   - Fault tolerance: an exception barrier around the scoring paths
-//     resolves only the affected request/batch with kInternal and keeps
-//     the worker alive; Shutdown() (and the destructor) resolve every
-//     still-pending promise with kUnavailable, and ops submitted after
-//     shutdown fail fast instead of blocking.
+//     checked at dequeue and again when the request's job starts;
+//     expired requests resolve kDeadlineExceeded. Deadline pressure also
+//     cuts the coalescing window short.
+//   - Fault tolerance: an exception barrier around each op's sequencing
+//     and around each job resolves only the affected request with
+//     kInternal and keeps the worker alive; Shutdown() (and the
+//     destructor) resolve every still-pending promise with kUnavailable,
+//     and ops submitted after shutdown fail fast instead of blocking.
 //   - Input validation: padding/out-of-range POI ids, non-finite
 //     timestamps and empty candidate lists are rejected per-request with
 //     kInvalidArgument instead of CHECK-aborting the process.
@@ -62,13 +63,14 @@
 // sequential replay of the same ops at any thread count.
 //
 // Observability (src/obs): counters serve/appends, serve/requests,
-// serve/incremental_scored, serve/fallback_scored, serve/cold_starts,
+// serve/incremental_scored, serve/fallback_scored (cold forwards over the
+// trailing window), serve/cold_starts,
 // serve/cold_builds, serve/evictions, serve/overflows, serve/shed,
 // serve/rejected, serve/deadline_exceeded,
 // serve/batch_failures, serve/invalid_requests,
 // serve/catalog_requests; histograms time/serve/request (enqueue ->
 // fulfil), serve/queue_wait (enqueue -> dequeue), serve/queue_depth,
-// serve/batch_size, serve/catalog_pool_size; gauge
+// serve/catalog_pool_size; gauge
 // serve/resident_sessions.
 
 #pragma once
@@ -111,15 +113,15 @@ struct ServeOptions {
   /// Cap on resident per-user cache states (LRU-evicted; histories are
   /// always kept).
   int64_t max_sessions = 4096;
-  /// Serving window: histories longer than this are scored on their
-  /// trailing window through the full batched path.
+  /// Serving window: histories longer than this are scored by a cold
+  /// model->Score over their trailing window.
   int64_t max_seq_len = 100;
   /// Coalescing window in microseconds: after picking up work the worker
   /// keeps draining arrivals this long (or until max_batch ops are
   /// queued) before processing. 0 = process immediately. Cut short when a
   /// queued request's deadline would expire inside the window.
   int64_t batch_window_us = 0;
-  /// Cap on instances per fallback ScoreBatch call.
+  /// Queued ops that cut the coalescing window short.
   int64_t max_batch = 32;
   /// false = no worker thread; the caller drives processing with Pump()
   /// (deterministic in-thread mode for tests and benchmarks).
@@ -173,7 +175,8 @@ class RecommendService {
  public:
   /// The model must outlive the service and stay frozen while serving.
   /// STiSAN models get the incremental engine; any other
-  /// SequentialRecommender serves through the batched fallback only.
+  /// SequentialRecommender is served by its own cold Score, which must be
+  /// safe to call concurrently in eval mode.
   RecommendService(models::SequentialRecommender* model,
                    const ServeOptions& options);
   ~RecommendService();
@@ -208,8 +211,9 @@ class RecommendService {
   /// Two-stage full-catalog request (DESIGN.md §17): stage one retrieves
   /// the catalog_pool_size not-yet-visited POIs nearest the user's most
   /// recent check-in from the service's sparse spatial index; stage two
-  /// re-ranks the pool through the normal scoring paths (incremental or
-  /// fallback). The result carries the top_k best POIs in `pois` with
+  /// re-ranks the pool like any other score (incremental, or a cold
+  /// forward over the trailing window). Both stages run in the user's
+  /// pool task. The result carries the top_k best POIs in `pois` with
   /// aligned `scores`. Resolves kFailedPrecondition when catalog ranking
   /// is disabled (options.poi_coords == nullptr) or the user has no
   /// history (no query location); kInvalidArgument for top_k < 1. An
@@ -254,8 +258,8 @@ class RecommendService {
     int64_t poi = 0;
     double timestamp = 0.0;
     std::vector<int64_t> candidates;
-    /// Catalog requests: stage one fills `candidates` at serve time and
-    /// Fulfil re-ranks/truncates to the top_k best.
+    /// Catalog requests: stage one fills `candidates` in the request's job
+    /// and Fulfil re-ranks/truncates to the top_k best.
     bool catalog = false;
     int64_t top_k = 0;
     std::promise<ScoreResult> promise;
@@ -265,26 +269,25 @@ class RecommendService {
     bool has_deadline = false;
     // Barrier bookkeeping: `resolved` is set once the promise has been
     // fulfilled; `handed_off` is set just before the op moves into the
-    // pending fallback batch or the execution pass (which resolve it), so
-    // the worker's catch block knows the stack copy no longer owns the
-    // promise.
+    // execution pass (which resolves it), so the worker's catch block
+    // knows the stack copy no longer owns the promise.
     bool resolved = false;
     bool handed_off = false;
-    // Pending scores carry their history as of arrival (the trailing
-    // window for fallback scores).
+    // Jobs carry their user's full history as of arrival.
     data::EvalInstance instance;
   };
 
-  // An incremental score recorded by the sequencing pass, with the cache
-  // state it was assigned. Holding the state keeps it alive when a later
-  // op of the batch evicts the session before the score runs.
-  struct IncrementalJob {
+  // A score recorded by the sequencing pass, with the cache state it was
+  // assigned (null: a cold forward over the trailing window). Holding the
+  // state keeps it alive when a later op of the batch evicts the session
+  // before the job runs.
+  struct ScoreJob {
     Op op;
     std::shared_ptr<core::IncrementalState> state;
   };
   // The execution pass's work: each user's jobs in arrival order.
   struct ScoreSchedule {
-    std::vector<std::vector<IncrementalJob>> per_user;
+    std::vector<std::vector<ScoreJob>> per_user;
     std::unordered_map<int64_t, size_t> slot_of_user;
   };
 
@@ -296,33 +299,31 @@ class RecommendService {
   void WorkerLoop();
   /// Never throws; every score op it receives gets resolved.
   void Process(std::vector<Op> ops);
-  void ServeScore(Op& op, std::vector<Op>* pending, ScoreSchedule* schedule);
+  void ServeScore(Op& op, ScoreSchedule* schedule);
   /// The execution pass: one pool task per user. Never throws.
   void RunSchedule(ScoreSchedule* schedule);
-  /// Re-checks the deadline, then scores and resolves one recorded
-  /// request. Never throws.
-  void RunIncremental(IncrementalJob& job);
+  /// Re-checks the deadline, runs catalog stage one, then scores and
+  /// resolves one job. Never throws.
+  void RunJob(ScoreJob& job, geo::SpatialGridIndex::QueryScratch* scratch);
   /// Resolves an op whose deadline expired before serving.
   void Expire(Op& op);
-  void FlushFallback(std::vector<Op>* pending);
   void Fulfil(Op& op, std::vector<float> scores);
   void Fail(Op& op, Status status);
 
-  /// Stage one for a catalog op: fills op.candidates with the unvisited
-  /// pool around the user's latest check-in. Returns false (after
-  /// resolving the op) when the request cannot be served.
-  bool GenerateCatalogPool(Op& op, const Session& session);
+  /// Stage one for a catalog job: fills op.candidates with the unvisited
+  /// pool around the latest check-in of op.instance.
+  void GenerateCatalogPool(Op& op,
+                           geo::SpatialGridIndex::QueryScratch* scratch) const;
 
   models::SequentialRecommender* model_;
   ServeOptions options_;
   std::unique_ptr<core::IncrementalScorer> engine_;
   SessionStore store_;
   /// Catalog ranking stage one (built iff options.poi_coords is set);
-  /// index id = poi - 1. Stage one runs in the sequencing pass, so only
-  /// the worker (or Pump caller) touches the scratch.
+  /// index id = poi - 1. Read-only once built: each user task queries it
+  /// with its own scratch.
   std::unique_ptr<geo::SpatialGridIndex> catalog_index_;
   std::unique_ptr<geo::CandidateGenerator> catalog_gen_;
-  geo::SpatialGridIndex::QueryScratch catalog_scratch_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;

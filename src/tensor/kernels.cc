@@ -254,6 +254,39 @@ void LayerNormRows(const float* x, const float* gamma, const float* beta,
   });
 }
 
+void LayerNormBackwardRows(const float* x, const float* gamma,
+                           const float* mu, const float* inv_sigma,
+                           const float* gy, float* gx, float* gx2,
+                           float* ggamma, float* gbeta, int64_t rows,
+                           int64_t d) {
+  const float inv_d = 1.0f / static_cast<float>(d);
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * d;
+    const float* g = gy + r * d;
+    const float m = mu[r];
+    const float is = inv_sigma[r];
+    // xhat_j = (x_j - m) * is
+    float sum_gg = 0.0f;   // sum_j gamma_j * g_j
+    float sum_ggx = 0.0f;  // sum_j gamma_j * g_j * xhat_j
+    for (int64_t j = 0; j < d; ++j) {
+      const float xhat = (xr[j] - m) * is;
+      const float gg = gamma[j] * g[j];
+      sum_gg += gg;
+      sum_ggx += gg * xhat;
+      if (ggamma != nullptr) ggamma[j] += g[j] * xhat;
+      if (gbeta != nullptr) gbeta[j] += g[j];
+    }
+    if (gx == nullptr && gx2 == nullptr) continue;
+    for (int64_t j = 0; j < d; ++j) {
+      const float xhat = (xr[j] - m) * is;
+      const float gg = gamma[j] * g[j];
+      const float v = is * (gg - inv_d * sum_gg - xhat * inv_d * sum_ggx);
+      if (gx != nullptr) gx[r * d + j] += v;
+      if (gx2 != nullptr) gx2[r * d + j] += v;
+    }
+  }
+}
+
 void GatherRows(const float* w, const int64_t* ids, float* out, int64_t n,
                 int64_t d, int64_t padding_idx) {
   ParallelRanges(n, d, [&](int64_t i0, int64_t i1) {

@@ -119,6 +119,18 @@ void LayerNormRows(const float* x, const float* gamma, const float* beta,
                    float* y, float* mu, float* inv_sigma, int64_t rows,
                    int64_t d, float eps);
 
+/// Accumulates the layer-norm backward for rows x under output gradient gy,
+/// given the mu/inv_sigma LayerNormRows wrote: ggamma and gbeta += their
+/// sums over rows, and the input gradient into gx and into gx2 (the
+/// residual operand of a fused LayerNorm(x + r)). Any destination may be
+/// null. Serial on every backend: the gamma/beta sums reduce across rows,
+/// and the determinism contract forbids cross-row parallel accumulation.
+void LayerNormBackwardRows(const float* x, const float* gamma,
+                           const float* mu, const float* inv_sigma,
+                           const float* gy, float* gx, float* gx2,
+                           float* ggamma, float* gbeta, int64_t rows,
+                           int64_t d);
+
 /// Row gather: out[i,:] = w[ids[i],:], zero-filled where ids[i] ==
 /// padding_idx (pass a negative padding_idx to disable).
 void GatherRows(const float* w, const int64_t* ids, float* out, int64_t n,

@@ -828,8 +828,6 @@ Tensor LayerNorm(const Tensor& x_in, const Tensor& gamma_in,
   auto inv_sigma =
       std::make_shared<std::vector<float>>(static_cast<size_t>(rows));
 
-  // Backward stays serial: gamma/beta grads reduce across rows, and the
-  // kernel determinism contract forbids cross-row parallel accumulation.
   Tensor out = MakeNode(
       x.shape(), {xi, gi, bi},
       [xi, gi, bi, mu, inv_sigma, rows, d](TensorImpl& self) {
@@ -839,35 +837,11 @@ Tensor LayerNorm(const Tensor& x_in, const Tensor& gamma_in,
         if (need_x) xi->EnsureGrad();
         if (need_g) gi->EnsureGrad();
         if (need_b) bi->EnsureGrad();
-        const float* gd = gi->Data();
-        float* ggrad = need_g ? gi->Grad() : nullptr;
-        float* bgrad = need_b ? bi->Grad() : nullptr;
-        for (int64_t r = 0; r < rows; ++r) {
-          const float* xr = xi->Data() + r * d;
-          const float* g = self.Grad() + r * d;
-          const float m = (*mu)[r];
-          const float is = (*inv_sigma)[r];
-          // xhat_j = (x_j - m) * is
-          float sum_gg = 0.0f;   // sum_j gamma_j * g_j
-          float sum_ggx = 0.0f;  // sum_j gamma_j * g_j * xhat_j
-          for (int64_t j = 0; j < d; ++j) {
-            const float xhat = (xr[j] - m) * is;
-            const float gg = gd[j] * g[j];
-            sum_gg += gg;
-            sum_ggx += gg * xhat;
-            if (need_g) ggrad[j] += g[j] * xhat;
-            if (need_b) bgrad[j] += g[j];
-          }
-          if (need_x) {
-            float* xg = xi->Grad() + r * d;
-            const float inv_d = 1.0f / static_cast<float>(d);
-            for (int64_t j = 0; j < d; ++j) {
-              const float xhat = (xr[j] - m) * is;
-              const float gg = gd[j] * g[j];
-              xg[j] += is * (gg - inv_d * sum_gg - xhat * inv_d * sum_ggx);
-            }
-          }
-        }
+        kernels::LayerNormBackwardRows(
+            xi->Data(), gi->Data(), mu->data(), inv_sigma->data(),
+            self.Grad(), need_x ? xi->Grad() : nullptr, nullptr,
+            need_g ? gi->Grad() : nullptr, need_b ? bi->Grad() : nullptr,
+            rows, d);
       });
   kernels::LayerNormRows(x.data(), gamma.data(), beta.data(), out.data(),
                          mu->data(), inv_sigma->data(), rows, d, eps);
@@ -1126,9 +1100,10 @@ Tensor FusedResidualLayerNorm(const Tensor& x_in, const Tensor& r_in,
       std::make_shared<std::vector<float>>(static_cast<size_t>(rows));
 
   // Backward mirrors the composed LayerNorm(x + r) chain exactly: the same
-  // serial per-row LayerNorm backward, with the input gradient v accumulated
-  // into both residual operands (what the Add backward would have done with
-  // the intermediate node's gradient, which is exactly v on a fresh buffer).
+  // LayerNorm backward over the saved sum, with the input gradient
+  // accumulated into both residual operands (what the Add backward would
+  // have done with the intermediate node's gradient, which is exactly that
+  // gradient on a fresh buffer).
   Tensor out = MakeNode(
       x.shape(), {xi, ri, gi, bi},
       [xi, ri, gi, bi, sum, mu, inv_sigma, rows, d](TensorImpl& self) {
@@ -1140,39 +1115,11 @@ Tensor FusedResidualLayerNorm(const Tensor& x_in, const Tensor& r_in,
         if (need_r) ri->EnsureGrad();
         if (need_g) gi->EnsureGrad();
         if (need_b) bi->EnsureGrad();
-        const float* gd = gi->Data();
-        float* ggrad = need_g ? gi->Grad() : nullptr;
-        float* bgrad = need_b ? bi->Grad() : nullptr;
-        const float* sd = sum->data();
-        for (int64_t rr = 0; rr < rows; ++rr) {
-          const float* xr = sd + rr * d;
-          const float* g = self.Grad() + rr * d;
-          const float m = (*mu)[rr];
-          const float is = (*inv_sigma)[rr];
-          float sum_gg = 0.0f;
-          float sum_ggx = 0.0f;
-          for (int64_t j = 0; j < d; ++j) {
-            const float xhat = (xr[j] - m) * is;
-            const float gg = gd[j] * g[j];
-            sum_gg += gg;
-            sum_ggx += gg * xhat;
-            if (need_g) ggrad[j] += g[j] * xhat;
-            if (need_b) bgrad[j] += g[j];
-          }
-          if (need_x || need_r) {
-            float* xg = need_x ? xi->Grad() + rr * d : nullptr;
-            float* rg = need_r ? ri->Grad() + rr * d : nullptr;
-            const float inv_d = 1.0f / static_cast<float>(d);
-            for (int64_t j = 0; j < d; ++j) {
-              const float xhat = (xr[j] - m) * is;
-              const float gg = gd[j] * g[j];
-              const float v =
-                  is * (gg - inv_d * sum_gg - xhat * inv_d * sum_ggx);
-              if (xg != nullptr) xg[j] += v;
-              if (rg != nullptr) rg[j] += v;
-            }
-          }
-        }
+        kernels::LayerNormBackwardRows(
+            sum->data(), gi->Data(), mu->data(), inv_sigma->data(),
+            self.Grad(), need_x ? xi->Grad() : nullptr,
+            need_r ? ri->Grad() : nullptr, need_g ? gi->Grad() : nullptr,
+            need_b ? bi->Grad() : nullptr, rows, d);
       });
   const float* xd = x.data();
   const float* rd = r.data();

@@ -25,7 +25,8 @@ float Adam::ClipGradNorm(float max_norm) {
   for (auto& p : params_) {
     if (!p.has_grad()) continue;
     const float* g = p.grad_data();
-    for (int64_t i = 0; i < p.numel(); ++i) total += double(g[i]) * g[i];
+    const int64_t n = p.numel();
+    for (int64_t i = 0; i < n; ++i) total += double(g[i]) * g[i];
   }
   const float norm = static_cast<float>(std::sqrt(total));
   if (norm > max_norm && norm > 0.0f) {
@@ -33,7 +34,8 @@ float Adam::ClipGradNorm(float max_norm) {
     for (auto& p : params_) {
       if (!p.has_grad()) continue;
       float* g = p.mutable_grad_data();
-      for (int64_t i = 0; i < p.numel(); ++i) g[i] *= scale;
+      const int64_t n = p.numel();
+      for (int64_t i = 0; i < n; ++i) g[i] *= scale;
     }
   }
   return norm;
@@ -64,7 +66,8 @@ void Adam::Step() {
     const float* g = p.grad_data();
     auto& m = m_[k];
     auto& v = v_[k];
-    for (int64_t i = 0; i < p.numel(); ++i) {
+    const int64_t n = p.numel();
+    for (int64_t i = 0; i < n; ++i) {
       const float grad = g[i] + options_.weight_decay * w[i];
       m[i] = options_.beta1 * m[i] + (1.0f - options_.beta1) * grad;
       v[i] = options_.beta2 * v[i] + (1.0f - options_.beta2) * grad * grad;

@@ -4,20 +4,21 @@
 // fault, or load level crashes the service, strands a future, or breaks
 // the bit-identity of *accepted* requests.
 //
-// 1. Exception barrier: injected scorer/batch throws fail only the
-//    affected request/chunk with kInternal; the worker keeps serving and
-//    subsequent requests stay bit-identical to a cold model->Score.
+// 1. Exception barrier: injected scorer throws at sequencing and a model
+//    that throws inside its job fail only the affected request with
+//    kInternal; the worker keeps serving and subsequent requests stay
+//    bit-identical to a cold model->Score.
 // 2. Shutdown: pending promises resolve kUnavailable (never broken),
 //    blocked producers unblock, and post-shutdown ops fail fast.
 // 3. Input validation: padding/out-of-range POIs, non-finite timestamps
 //    and empty candidate lists resolve kInvalidArgument per request; a
-//    service without a catalog size fails at construction.
+//    service without a catalog size, with one beyond the model, or with a
+//    coordinate table that does not match it fails at construction.
 // 4. Admission control: kRejectNew / kShedOldest / kBlock under a bounded
 //    queue, with shed/rejected requests resolved immediately.
 // 5. Deadlines: expired requests resolve kDeadlineExceeded, resident
-//    cached state or not; the fallback path re-checks deadlines before
-//    paying for a batch forward, and an incremental score re-checks its
-//    deadline when its pool task reaches it.
+//    cached state or not; every job re-checks its deadline when its pool
+//    task reaches it, before paying for a forward.
 // 6. Concurrent stress: multi-producer appends/scores/evicts with random
 //    deadlines under queue policy x {worker, Pump} grids, plus a
 //    Drain()-vs-Enqueue race.
@@ -30,6 +31,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -192,63 +194,78 @@ TEST_F(ServeRobustnessTest, WorkerSurvivesInjectedScorerThrows) {
   }
 }
 
-// A throw before a fallback ScoreBatch forward fails exactly that chunk's
-// promises; other chunks of the same flush keep their (bit-identical)
-// scores.
-TEST_F(ServeRobustnessTest, FallbackBatchThrowFailsOnlyItsChunk) {
-  models::SasRecModel model(ds_, TinySanOptions());
-  const auto users = PickUsers(/*min_len=*/6, /*max_users=*/6);
-  ASSERT_EQ(users.size(), 6u);
+// A model that throws inside one user's job — on a pool worker at four
+// threads, on the pumping thread at one — fails exactly that request with
+// kInternal. The other users' jobs in the same pass keep their
+// (bit-identical) scores, and the service keeps serving afterwards.
+TEST_F(ServeRobustnessTest, ThrowInsideJobFailsOnlyItsRequest) {
+  struct ThrowingModel : models::SasRecModel {
+    ThrowingModel(const data::Dataset& ds, const models::SanOptions& opts)
+        : models::SasRecModel(ds, opts) {}
+    std::vector<float> Score(const data::EvalInstance& instance,
+                             const std::vector<int64_t>& candidates) override {
+      if (instance.user == throw_for_user.load()) {
+        throw std::runtime_error("model fault");
+      }
+      return models::SasRecModel::Score(instance, candidates);
+    }
+    std::atomic<int64_t> throw_for_user{-1};
+  };
+  ThrowingModel model(ds_, TinySanOptions());
+  const auto users = PickUsers(/*min_len=*/6, /*max_users=*/4);
+  ASSERT_EQ(users.size(), 4u);
+  // ColdScore's instances carry user 0, so the faulty user must not be 0.
+  const int64_t faulty = users[1];
+  ASSERT_NE(faulty, 0);
   const size_t prefix = 5;
 
-  ServeFaultInjector injector;
-  ServeFaultPlan plan;
-  plan.throw_every_batches = 2;  // second ScoreBatch chunk fails
-  injector.SetPlan(plan);
-
-  ServeOptions so;
-  so.num_pois = ds_.num_pois();
-  so.start_worker = false;
-  so.max_batch = 2;  // 6 same-length users -> 3 chunks
-  so.fault_injector = &injector;
-  RecommendService service(&model, so);
-
-  std::vector<std::future<ScoreResult>> futures;
-  std::vector<std::vector<float>> want;
-  for (int64_t user : users) {
-    const auto& seq = ds_.user_seqs[static_cast<size_t>(user)];
-    for (size_t k = 0; k < prefix; ++k) {
-      ASSERT_TRUE(service.Append(user, seq[k].poi, seq[k].timestamp).ok());
+  for (int64_t threads : {1, 4}) {
+    kernels::SetNumThreads(threads);
+    obs::ResetAllForTesting();
+    ServeOptions so;
+    so.num_pois = ds_.num_pois();
+    so.start_worker = false;
+    RecommendService service(&model, so);
+    for (int64_t user : users) {
+      const auto& seq = ds_.user_seqs[static_cast<size_t>(user)];
+      for (size_t k = 0; k < prefix; ++k) {
+        ASSERT_TRUE(service.Append(user, seq[k].poi, seq[k].timestamp).ok());
+      }
     }
-  }
-  for (int64_t user : users) {
-    const auto& seq = ds_.user_seqs[static_cast<size_t>(user)];
-    const auto cands = Candidates(seq[prefix].poi, 12, 55 + user);
-    futures.push_back(service.ScoreAsync(user, cands));
-    want.push_back(ColdScore(model, seq, prefix, cands));
-  }
-  service.Pump();
-
-  for (size_t i = 0; i < futures.size(); ++i) {
-    ScoreResult r = futures[i].get();
-    if (i == 2 || i == 3) {  // arrival order -> chunk 2
-      EXPECT_EQ(r.status.code(), StatusCode::kInternal) << "request " << i;
-    } else {
-      ASSERT_TRUE(r.ok()) << "request " << i << ": " << r.status.ToString();
-      EXPECT_EQ(r.scores, want[i]) << "request " << i;
+    std::vector<std::future<ScoreResult>> futures;
+    std::vector<std::vector<float>> want;
+    for (int64_t user : users) {
+      const auto& seq = ds_.user_seqs[static_cast<size_t>(user)];
+      const auto cands = Candidates(seq[prefix].poi, 12, 55 + user);
+      futures.push_back(service.ScoreAsync(user, cands));
+      want.push_back(ColdScore(model, seq, prefix, cands));
     }
-  }
-  EXPECT_EQ(injector.batch_throws(), 1);
-  EXPECT_EQ(obs::GetCounter("serve/batch_failures").Get(), 1u);
-  EXPECT_EQ(obs::GetCounter("serve/fallback_scored").Get(), 4u);
+    model.throw_for_user = faulty;
+    service.Pump();  // one pass: four users' jobs
 
-  // Service still serves after the failed chunk.
-  injector.SetPlan(ServeFaultPlan{});
-  const auto& seq = ds_.user_seqs[static_cast<size_t>(users[0])];
-  const auto cands = Candidates(seq[prefix].poi, 12, 999);
-  ScoreResult r = service.Score(users[0], cands);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.scores, ColdScore(model, seq, prefix, cands));
+    for (size_t i = 0; i < futures.size(); ++i) {
+      ScoreResult r = futures[i].get();
+      if (users[i] == faulty) {
+        EXPECT_EQ(r.status.code(), StatusCode::kInternal)
+            << "threads=" << threads << " " << r.status.ToString();
+      } else {
+        ASSERT_TRUE(r.ok()) << "threads=" << threads << " request " << i
+                            << ": " << r.status.ToString();
+        EXPECT_EQ(r.scores, want[i])
+            << "threads=" << threads << " request " << i;
+      }
+    }
+    EXPECT_EQ(obs::GetCounter("serve/batch_failures").Get(), 1u);
+    EXPECT_EQ(obs::GetCounter("serve/fallback_scored").Get(), 3u);
+
+    // The service still serves the faulty user once the model recovers.
+    model.throw_for_user = -1;
+    const auto& seq = ds_.user_seqs[static_cast<size_t>(faulty)];
+    const auto cands = Candidates(seq[prefix].poi, 12, 999);
+    ScoreResult r = service.Score(faulty, cands);
+    ASSERT_TRUE(r.ok()) << r.status.ToString();
+    EXPECT_EQ(r.scores, ColdScore(model, seq, prefix, cands));
+  }
 }
 
 // Forced mid-batch evictions (injector) only cost cold rebuilds — the
@@ -454,6 +471,24 @@ TEST_F(ServeRobustnessTest, ConstructionRejectsCatalogBeyondModel) {
                "exceeds the model's catalog");
 }
 
+// A coordinate table longer than the catalog let stage one return ids past
+// num_pois, and the first catalog request aborted at the model's embedding
+// lookup. The constructor refuses a table that does not hold exactly
+// num_pois + 1 entries (longer or shorter) now.
+TEST_F(ServeRobustnessTest, ConstructionRejectsCoordsNotMatchingCatalog) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::StisanModel model(ds_, TinyStisanOptions());
+  ServeOptions so;
+  so.start_worker = false;
+  so.num_pois = ds_.num_pois();
+  std::vector<geo::GeoPoint> coords = ds_.poi_coords;
+  coords.resize(coords.size() + 200, coords.back());
+  so.poi_coords = &coords;
+  EXPECT_DEATH({ RecommendService service(&model, so); }, "poi_coords");
+  coords.resize(ds_.poi_coords.size() - 1);
+  EXPECT_DEATH({ RecommendService service(&model, so); }, "poi_coords");
+}
+
 // ---------------------------------------------------------------------------
 // 4. Admission control.
 // ---------------------------------------------------------------------------
@@ -619,36 +654,32 @@ TEST_F(ServeRobustnessTest, DefaultDeadlineAppliesToEveryRequest) {
   EXPECT_EQ(fut.get().status.code(), StatusCode::kDeadlineExceeded);
 }
 
-// Slow fallback model: requests whose deadline expires while an earlier
-// chunk was being scored leave the batch at the re-check — they never pay
-// for the forward.
+// Slow non-incremental model: a request whose deadline expires while
+// earlier jobs of the same pass were scoring leaves at its job's re-check
+// — it never pays for the forward. One thread runs the jobs in order.
 TEST_F(ServeRobustnessTest, FallbackRechecksDeadlineBeforeForward) {
   struct SlowModel : models::SasRecModel {
     SlowModel(const data::Dataset& ds, const models::SanOptions& opts)
         : models::SasRecModel(ds, opts) {}
-    std::vector<std::vector<float>> ScoreBatch(
-        const std::vector<const data::EvalInstance*>& instances,
-        const std::vector<std::vector<int64_t>>& candidates) override {
+    std::vector<float> Score(const data::EvalInstance& instance,
+                             const std::vector<int64_t>& candidates) override {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      return models::SasRecModel::ScoreBatch(instances, candidates);
+      return models::SasRecModel::Score(instance, candidates);
     }
   };
   SlowModel model(ds_, TinySanOptions());
   const auto users = PickUsers(/*min_len=*/6, /*max_users=*/3);
   ASSERT_EQ(users.size(), 3u);
+  kernels::SetNumThreads(1);
 
   ServeOptions so;
   so.num_pois = ds_.num_pois();
   so.start_worker = false;
   RecommendService service(&model, so);
-  // Users 0, 1 have 5-visit histories; user 2 has 4 — a different length
-  // group, so one flush runs two chunked forwards in sequence.
-  for (size_t i = 0; i < users.size(); ++i) {
-    const auto& seq = ds_.user_seqs[static_cast<size_t>(users[i])];
-    const size_t prefix = (i == 2) ? 4 : 5;
-    for (size_t k = 0; k < prefix; ++k) {
-      ASSERT_TRUE(
-          service.Append(users[i], seq[k].poi, seq[k].timestamp).ok());
+  for (int64_t user : users) {
+    const auto& seq = ds_.user_seqs[static_cast<size_t>(user)];
+    for (size_t k = 0; k < 5; ++k) {
+      ASSERT_TRUE(service.Append(user, seq[k].poi, seq[k].timestamp).ok());
     }
   }
   const auto cands = Candidates(
@@ -660,8 +691,8 @@ TEST_F(ServeRobustnessTest, FallbackRechecksDeadlineBeforeForward) {
 
   EXPECT_TRUE(a.get().ok());
   EXPECT_TRUE(b.get().ok());
-  // c was live at dequeue but expired during the first length-group's
-  // 20 ms forward; the per-chunk re-check resolves it without scoring.
+  // c was live at dequeue but expired during the two 20 ms forwards ahead
+  // of it; its job's re-check resolves it without scoring.
   EXPECT_EQ(c.get().status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(obs::GetCounter("serve/deadline_exceeded").Get(), 1u);
   EXPECT_EQ(obs::GetCounter("serve/fallback_scored").Get(), 2u);

@@ -249,8 +249,8 @@ TEST_F(ServeTest, EngineBitIdenticalAsRelationCeilingMoves) {
 }
 
 // ---------------------------------------------------------------------------
-// Overflow past the serving window: the service falls back to the batched
-// path over the trailing window, transparently and bit-identically.
+// Overflow past the serving window: the service scores the trailing
+// window with a cold forward, transparently and bit-identically.
 // ---------------------------------------------------------------------------
 
 TEST_F(ServeTest, OverflowFallsBackToWindowedBatchPath) {
@@ -299,8 +299,8 @@ TEST_F(ServeTest, ColdStartScoresZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Non-incremental models serve through the batched fallback, with the
-// same bit-identity contract against their own cold Score.
+// Non-incremental models serve through their own cold Score over the
+// trailing window, with the same bit-identity contract.
 // ---------------------------------------------------------------------------
 
 TEST_F(ServeTest, FallbackModelBitIdenticalThroughService) {
@@ -313,12 +313,11 @@ TEST_F(ServeTest, FallbackModelBitIdenticalThroughService) {
     serve::ServeOptions so;
     so.num_pois = ds_.num_pois();
     so.start_worker = false;
-    so.max_batch = 2;  // force multi-chunk flushes
     serve::RecommendService service(&model, so);
     EXPECT_FALSE(service.incremental());
 
-    // Interleave appends, then batch all score requests into one pump so
-    // the fallback path groups users by (differing) history lengths.
+    // Interleave appends, then send all score requests into one pump, so
+    // users with differing history lengths score side by side.
     std::vector<std::future<serve::ScoreResult>> futures;
     std::vector<std::vector<float>> want;
     for (size_t i = 0; i < users.size(); ++i) {
@@ -547,8 +546,8 @@ std::map<std::string, uint64_t> ServeCounters() {
 }
 
 // Applies the stream op by op in the order RecommendService sequences it
-// (request validation aside), with the engine scoring each incremental
-// request on the spot.
+// (request validation aside), running each request's job — catalog stage
+// one, then the engine or a cold windowed forward — on the spot.
 std::vector<Answer> SequentialReplay(core::StisanModel& model,
                                      const data::Dataset& ds,
                                      const serve::ServeOptions& so,
@@ -596,38 +595,49 @@ std::vector<Answer> SequentialReplay(core::StisanModel& model,
         answers.push_back(a);
         continue;
       }
-      const std::unordered_set<int64_t> visited(s.pois.begin(), s.pois.end());
-      std::vector<int64_t> ids;
-      gen.Generate(ds.poi_coords[static_cast<size_t>(s.pois.back())],
-                   [&visited](int64_t id) { return !visited.contains(id + 1); },
-                   &scratch, &ids);
-      a.candidates.clear();
-      for (int64_t id : ids) a.candidates.push_back(id + 1);
-      if (a.candidates.empty()) {
-        answers.push_back(a);
-        continue;
-      }
     }
     const int64_t n = std::min(len, so.max_seq_len);
     a.window.poi.assign(s.pois.end() - n, s.pois.end());
     a.window.t.assign(s.timestamps.end() - n, s.timestamps.end());
+    const bool incremental = len > 0 && len <= so.max_seq_len;
     std::vector<float> scores;
     try {
       if (len == 0) {
         faults.MaybeThrowOnScore();
         ++c["serve/cold_starts"];
         scores.assign(a.candidates.size(), 0.0f);
-      } else if (len <= so.max_seq_len) {
-        const int64_t before = store.evictions();
-        store.MarkResident(s, s.state ? nullptr : engine.NewState());
-        c["serve/evictions"] += static_cast<uint64_t>(store.evictions() - before);
-        if (s.state->cached_len == 0 && len > 1) ++c["serve/cold_builds"];
-        faults.MaybeThrowOnScore();
-        scores = engine.Score(*s.state, s.pois, s.timestamps, a.candidates);
-        ++c["serve/incremental_scored"];
       } else {
-        scores = model.ScoreBatch({&a.window}, {a.candidates})[0];
-        ++c["serve/fallback_scored"];
+        if (incremental) {
+          const int64_t before = store.evictions();
+          store.MarkResident(s, s.state ? nullptr : engine.NewState());
+          c["serve/evictions"] +=
+              static_cast<uint64_t>(store.evictions() - before);
+          if (s.state->cached_len == 0 && len > 1) ++c["serve/cold_builds"];
+          faults.MaybeThrowOnScore();
+        }
+        // What the request's job does: stage one, then the score.
+        if (catalog) {
+          const std::unordered_set<int64_t> visited(s.pois.begin(),
+                                                    s.pois.end());
+          std::vector<int64_t> ids;
+          gen.Generate(
+              ds.poi_coords[static_cast<size_t>(s.pois.back())],
+              [&visited](int64_t id) { return !visited.contains(id + 1); },
+              &scratch, &ids);
+          a.candidates.clear();
+          for (int64_t id : ids) a.candidates.push_back(id + 1);
+          if (a.candidates.empty()) {
+            answers.push_back(a);
+            continue;
+          }
+        }
+        if (incremental) {
+          scores = engine.Score(*s.state, s.pois, s.timestamps, a.candidates);
+          ++c["serve/incremental_scored"];
+        } else {
+          scores = model.Score(a.window, a.candidates);
+          ++c["serve/fallback_scored"];
+        }
       }
     } catch (const serve::ServeFaultError&) {
       ++c["serve/batch_failures"];
@@ -660,7 +670,6 @@ TEST_F(ServeTest, ConcurrentServingMatchesSequentialReplay) {
   so.start_worker = false;
   so.max_sessions = 3;  // below the 9 active users: evictions mid-batch
   so.max_seq_len = 10;
-  so.max_batch = 4;
   so.num_pois = ds_.num_pois();
   so.poi_coords = &ds_.poi_coords;
   so.catalog_pool_size = 40;
@@ -746,9 +755,9 @@ TEST_F(ServeTest, ConcurrentServingMatchesSequentialReplay) {
     }
     const uint64_t tasks_before = kernels::GlobalPool().tasks_submitted();
     ASSERT_EQ(service.Pump(), stream.size());  // one batch
-    // Each of the nine users with incremental scores ran as one pool task
-    // (none at one thread, where the worker runs them itself); the
-    // fallback's tiny ScoreBatch forwards do not split.
+    // Each of the nine users with recorded jobs ran as one pool task (none
+    // at one thread, where the worker runs them itself); windowed and
+    // catalog jobs run inside their user's task.
     EXPECT_EQ(kernels::GlobalPool().tasks_submitted() - tasks_before,
               threads == 1 ? 0u : users.size())
         << "threads=" << threads;

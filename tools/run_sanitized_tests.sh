@@ -12,8 +12,9 @@
 # whose sanitized runtimes are excessive, and the "bench" checks of the
 # benchmark harness, which builds its own unsanitized worker. The tsan
 # preset runs only the concurrency-heavy "serve", "obs", "pool", "eval",
-# "fused" and "simd" labels: worker-thread handoffs, per-user scoring
-# tasks and batched sub-batch forwards on the kernel pool, admission
+# "fused", "simd" and "ranking" labels: worker-thread handoffs, per-user
+# scoring tasks (catalog stage one included) and batched sub-batch
+# forwards on the kernel pool, pool-run candidate generation, admission
 # blocking/shedding, shutdown promise sweeps, the lock-free metrics
 # registry, the thread pool itself, and the attention and AVX2 Gemm
 # kernels that training still splits across the pool.

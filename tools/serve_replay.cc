@@ -20,8 +20,8 @@
 //   --max-sessions N  resident-session cap (LRU eviction beyond it)
 //   --batch-window US coalescing window in microseconds (0 = no wait)
 //   --max-batch N     cut the window short once N requests queue
-//   --max-seq-len N   serving window; longer histories fall back to the
-//                     batched trailing-window path
+//   --max-seq-len N   serving window; longer histories are scored by a
+//                     cold forward over their trailing window
 //   --metrics-json F  write the obs-registry snapshot (same flag as the
 //                     trainer CLI) with the serve/* counters and the
 //                     time/serve/request histogram
@@ -47,8 +47,8 @@
 //                     percentiles per offered rate) as JSON
 //
 // The served model is the full STiSAN at the repo defaults (geo encoder,
-// TAPE, IAAB, TAAD), untrained. The same tool exercises the pure
-// fallback path when --max-seq-len is set below the replayed history
+// TAPE, IAAB, TAAD), untrained. The same tool exercises the windowed
+// cold-forward path when --max-seq-len is set below the replayed history
 // lengths. An unknown flag or preset exits with status 2.
 
 #include <algorithm>
