@@ -113,13 +113,15 @@ namespace {
 // One row-range of the Gemm. Every variant iterates output rows i in
 // [i0, i1) and uses the same per-element accumulation order as a full
 // serial sweep, so threading never changes results. The vector backend
-// takes every variant but ta && tb, which no production op emits.
+// takes every B that is not transposed: Gemm and BatchedGemm pack a
+// transposed B first when A is not transposed, and the doubly-transposed
+// variant, which no production op emits, stays on the scalar loop.
 void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
                   int64_t k, int64_t n, bool ta, bool tb, bool accumulate,
                   bool use_simd, int64_t i0, int64_t i1) {
   if (!accumulate) std::fill(c + i0 * n, c + i1 * n, 0.0f);
-  if (use_simd && !(ta && tb)) {
-    simd::GemmRowRange(a, b, c, m, k, n, ta, tb, i0, i1);
+  if (use_simd && !tb) {
+    simd::GemmRowRange(a, b, c, m, k, n, ta, i0, i1);
   } else if (!ta && !tb) {
     for (int64_t i = i0; i < i1; ++i) {
       float* crow = c + i * n;
@@ -160,11 +162,36 @@ void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
+// B transposed from [n,k] to [k,n] in each of `batch` contiguous slices.
+// It is a copy, so the packed product rounds as the strips round any
+// untransposed B.
+std::vector<float> PackTransposed(const float* b, int64_t batch, int64_t n,
+                                  int64_t k) {
+  std::vector<float> packed(static_cast<size_t>(batch * n * k));
+  for (int64_t t = 0; t < batch; ++t) {
+    const float* src = b + t * n * k;
+    float* dst = packed.data() + t * n * k;
+    for (int64_t j = 0; j < n; ++j)
+      for (int64_t p = 0; p < k; ++p) dst[p * n + j] = src[j * k + p];
+  }
+  return packed;
+}
+
 }  // namespace
 
+// Under the vector backend a transposed B (A not transposed: every Linear
+// input gradient and the attention backward's dP) is packed once, here on
+// the calling thread, before the split; the chunks share the copy
+// read-only and run the register-blocked strips on it.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool ta, bool tb, bool accumulate) {
   const bool use_simd = SimdEnabled();
+  std::vector<float> packed;
+  if (use_simd && !ta && tb) {
+    packed = PackTransposed(b, 1, n, k);
+    b = packed.data();
+    tb = false;
+  }
   ParallelRanges(m, k * n, [&](int64_t i0, int64_t i1) {
     GemmRowRange(a, b, c, m, k, n, ta, tb, accumulate, use_simd, i0, i1);
   });
@@ -175,6 +202,12 @@ void BatchedGemm(const float* a, const float* b, float* c, int64_t batch,
                  bool accumulate) {
   const int64_t sza = m * k, szb = k * n, szc = m * n;
   const bool use_simd = SimdEnabled();
+  std::vector<float> packed;
+  if (use_simd && !ta && tb) {
+    packed = PackTransposed(b, batch, n, k);
+    b = packed.data();
+    tb = false;
+  }
   ParallelRanges(batch, m * k * n, [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t) {
       GemmRowRange(a + t * sza, b + t * szb, c + t * szc, m, k, n, ta, tb,

@@ -61,9 +61,13 @@ void SetNumThreads(int64_t threads);
 // other CPU runs the scalar kernels). They are ON by default when the CPU
 // supports them; STISAN_SIMD=0 is the kill switch. Every backward built on
 // Gemm/BatchedGemm (MatMul's, FusedAttentionBackward's products) follows
-// the same switch; the remaining row loops are scalar on both backends. The
-// scalar backend stays the bit-exactness baseline, and the golden-metrics
-// harness pins it explicitly.
+// the same switch; the remaining row loops are scalar on both backends.
+// Under AVX2 every GEMM variant but the doubly-transposed one runs the same
+// register-blocked row strips: a transposed B (every Linear input gradient,
+// the attention backward's dP) is packed to [k,n] once per call on the
+// calling thread, before the row split. The scalar backend stays the
+// bit-exactness baseline, and the golden-metrics harness pins it
+// explicitly.
 //
 // The vector kernels keep the determinism contract above (each output
 // element's reduction order depends only on the reduction length, never on
@@ -96,12 +100,14 @@ void ParallelRanges(int64_t n, int64_t cost_per_item,
 
 /// C[m,n] (+)= A x B with optional logical transposes. Physical layouts:
 /// A is [m,k] (or [k,m] when ta), B is [k,n] (or [n,k] when tb), C is always
-/// [m,n]. Parallel over rows of C.
+/// [m,n]. Parallel over rows of C; under AVX2 a transposed B with an
+/// untransposed A is first copied to [k,n], which the row chunks share.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool ta, bool tb, bool accumulate);
 
 /// batch x independent Gemms on contiguous [b,m,k] x [b,k,n] blocks.
-/// Parallel over the batch.
+/// Parallel over the batch; a transposed B is packed as in Gemm, all
+/// slices at once, before the split.
 void BatchedGemm(const float* a, const float* b, float* c, int64_t batch,
                  int64_t m, int64_t k, int64_t n, bool ta, bool tb,
                  bool accumulate);

@@ -150,21 +150,13 @@ STISAN_AVX2 void GemmRowAccumAvx2(const float* a_base, int64_t a_stride,
   }
 }
 
+// B is always [k,n] here (kernels.cc packs a transposed B first); A is
+// [m,k], or [k,m] when ta, whose row i is then column i, read at stride m.
 STISAN_AVX2 void GemmRowRangeAvx2(const float* a, const float* b, float* c,
                                   int64_t m, int64_t k, int64_t n, bool ta,
-                                  bool tb, int64_t i0, int64_t i1) {
-  if (!ta && !tb) {
-    for (int64_t i = i0; i < i1; ++i)
-      GemmRowAccumAvx2(a + i * k, 1, b, c + i * n, k, n);
-  } else if (!ta && tb) {  // B physically [n,k]
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * k;
-      for (int64_t j = 0; j < n; ++j)
-        c[i * n + j] += DotAvx2(arow, b + j * k, k);
-    }
-  } else {  // ta && !tb: A physically [k,m]
-    for (int64_t i = i0; i < i1; ++i)
-      GemmRowAccumAvx2(a + i, m, b, c + i * n, k, n);
+                                  int64_t i0, int64_t i1) {
+  for (int64_t i = i0; i < i1; ++i) {
+    GemmRowAccumAvx2(ta ? a + i : a + i * k, ta ? m : 1, b, c + i * n, k, n);
   }
 }
 
@@ -269,9 +261,8 @@ bool Available() {
 const char* Name() { return "avx2"; }
 
 void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n, bool ta, bool tb, int64_t i0,
-                  int64_t i1) {
-  GemmRowRangeAvx2(a, b, c, m, k, n, ta, tb, i0, i1);
+                  int64_t k, int64_t n, bool ta, int64_t i0, int64_t i1) {
+  GemmRowRangeAvx2(a, b, c, m, k, n, ta, i0, i1);
 }
 
 void SoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
@@ -301,7 +292,7 @@ void AttentionRow(const float* qrow, const float* kblk, const float* vblk,
 bool Available() { return false; }
 const char* Name() { return "scalar"; }
 void GemmRowRange(const float*, const float*, float*, int64_t, int64_t,
-                  int64_t, bool, bool, int64_t, int64_t) {
+                  int64_t, bool, int64_t, int64_t) {
   std::abort();
 }
 void SoftmaxRowRange(const float*, float*, int64_t, int64_t, int64_t) {

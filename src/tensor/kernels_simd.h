@@ -10,7 +10,8 @@
 // Determinism contract (same as the scalar backend): the reduction order of
 // every output element depends only on the reduction length and absolute
 // element positions — 8-lane partial sums over [0, 8*(k/8)) plus a scalar
-// tail — never on how rows were partitioned across threads. So incremental
+// tail for the dot products, one FMA per k step at fixed columns for the
+// GEMM strips — never on how rows were partitioned across threads. So incremental
 // vs full scoring, batched vs single eval, and any-thread-count runs stay
 // bit-identical to each other under SIMD. What is NOT promised under SIMD:
 // bit-identity to the scalar backend (FMA + lane-parallel partial sums round
@@ -33,13 +34,13 @@ bool Available();
 const char* Name();
 
 /// Row-range GEMM accumulate, C[i0:i1, :] += A x B, with A [m,k] (or [k,m]
-/// when ta) and B [k,n] ([n,k] when tb). At most one of ta, tb may be set:
-/// kernels.cc runs the doubly-transposed variant, which no production op
-/// emits, on its scalar loop, and zero-fills C itself when not
+/// when ta) and B always [k,n]. Every row runs the register-blocked column
+/// strips. kernels.cc packs a transposed B to [k,n] once per call before
+/// its row split, runs the doubly-transposed variant, which no production
+/// op emits, on its scalar loop, and zero-fills C itself when not
 /// accumulating.
 void GemmRowRange(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n, bool ta, bool tb, int64_t i0,
-                  int64_t i1);
+                  int64_t k, int64_t n, bool ta, int64_t i0, int64_t i1);
 
 /// y[r,:] = softmax(x[r,:]) for r in [r0, r1). x may alias y.
 void SoftmaxRowRange(const float* x, float* y, int64_t d, int64_t r0,
@@ -53,7 +54,10 @@ void LayerNormRowRange(const float* x, const float* gamma, const float* beta,
 
 /// One query row of fused attention: logits = qrow · K[j,:] * scale (+
 /// brow[j]) for j < bound, bounded softmax into prow, then orow =
-/// probs (· mrow) @ V. prow must hold at least `bound` floats.
+/// probs (· mrow) @ V. prow must hold at least `bound` floats. Each logit
+/// is its own 8-lane dot product plus a horizontal sum, the one place the
+/// backend still forms products that way: packing K into strips would
+/// change the rounding of every served score.
 void AttentionRow(const float* qrow, const float* kblk, const float* vblk,
                   const float* brow, const float* mrow, float* prow,
                   float* orow, int64_t bound, int64_t d, float scale);

@@ -12,6 +12,15 @@ namespace stisan {
 /// matching torch.optim.Adam defaults used by the paper's PyTorch code.
 /// Holds references to the trainable tensors and updates them in place
 /// from their .grad buffers.
+///
+/// Step() and ClipGradNorm()'s rescale are elementwise, so each runs as one
+/// kernels::ParallelRanges split over all parameters' elements laid end to
+/// end; a chunk updates the slices of the tensors its range covers. Each
+/// element's arithmetic is the serial loop's, so every thread count gives
+/// the same bits. The parameters' data must not overlap (the constructor
+/// checks), since two threads would otherwise update one element at once.
+/// ClipGradNorm()'s norm stays one sequential double sum: reordering it
+/// could move the norm's last bit.
 class Adam {
  public:
   struct Options {
@@ -49,6 +58,9 @@ class Adam {
   std::vector<Tensor> params_;
   Options options_;
   int64_t t_ = 0;
+  // offsets_[k] is parameter k's first element in the concatenated range;
+  // offsets_.back() is the total element count.
+  std::vector<int64_t> offsets_;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
 };

@@ -7,9 +7,11 @@
 //    counts {1, 4}, forced mid-sequence evictions, and a relation ceiling
 //    that moves on almost every append.
 // 2. Micro-batching determinism: per-user scores and the serve obs
-//    counter totals are independent of arrival interleaving and batch
-//    caps; metric accumulation reuses the MetricAccumulator::Merge
-//    rank-replay pattern from eval_pipeline_test.cpp.
+//    counter totals are independent of arrival interleaving and of the
+//    batching (Pump(), and the worker thread with a coalescing window at
+//    caps {1, 4, 32}); metric accumulation reuses the
+//    MetricAccumulator::Merge rank-replay pattern from
+//    eval_pipeline_test.cpp.
 // 3. Concurrent-vs-sequential serving: one batch of many users scored as
 //    per-user pool tasks at 1 and 4 threads answers, fails and counts
 //    exactly as a sequential SessionStore + IncrementalScorer replay, with
@@ -340,9 +342,13 @@ TEST_F(ServeTest, FallbackModelBitIdenticalThroughService) {
 
 // ---------------------------------------------------------------------------
 // Micro-batching determinism: per-user scores and serve counter totals do
-// not depend on arrival interleaving or the batch cap. Rank metrics are
-// accumulated shard-by-shard and merged (the MetricAccumulator::Merge
-// rank-replay pattern from eval_pipeline_test.cpp).
+// not depend on arrival interleaving or on how the worker batches. Each
+// arrival order runs once through Pump(), which takes the whole queue as
+// one batch whatever max_batch is, and three times through the worker
+// thread with a coalescing window, which max_batch cuts short. Rank
+// metrics are accumulated shard-by-shard and merged (the
+// MetricAccumulator::Merge rank-replay pattern from
+// eval_pipeline_test.cpp).
 // ---------------------------------------------------------------------------
 
 TEST_F(ServeTest, MicroBatchingDeterminism) {
@@ -367,15 +373,20 @@ TEST_F(ServeTest, MicroBatchingDeterminism) {
     reference.Add(eval::RankOfTarget(ref_scores[i], 0));
   }
 
-  // (append order seed, batch cap) grid; order 0 = user-major order.
+  // (append order seed, leg) grid; order 0 = user-major order. max_batch
+  // 0 is the Pump() leg.
   std::map<std::string, uint64_t> counter_baseline;
   for (uint64_t order_seed : {0u, 1u, 2u}) {
-    for (int64_t max_batch : {1, 4, 32}) {
+    for (int64_t max_batch : {0, 1, 4, 32}) {
+      const bool worker = max_batch > 0;
       obs::ResetAllForTesting();
       serve::ServeOptions so;
       so.num_pois = ds_.num_pois();
-      so.start_worker = false;
-      so.max_batch = max_batch;
+      so.start_worker = worker;
+      if (worker) {
+        so.batch_window_us = 1000;
+        so.max_batch = max_batch;
+      }
       serve::RecommendService service(&model, so);
 
       // Build the op stream: every (user, visit-k) append plus one score
@@ -409,9 +420,12 @@ TEST_F(ServeTest, MicroBatchingDeterminism) {
         const size_t j = order_seed == 2 ? users.size() - 1 - i : i;
         futures[j] = service.ScoreAsync(users[j], cands[j]);
       }
-      service.Pump();
+      // Without a worker Drain() pumps the queue as one batch; with one
+      // it waits until every op is processed, so the counters below are
+      // final.
+      service.Drain();
 
-      // Scores invariant to arrival order and batch cap; ranks merged
+      // Scores invariant to arrival order and batching; ranks merged
       // from two shards replay to the reference accumulator exactly.
       eval::MetricAccumulator lo, hi;
       for (size_t i = 0; i < users.size(); ++i) {

@@ -11,7 +11,8 @@
 //     attention shapes.
 //  3. What IS still bit-exact under SIMD: thread-count determinism (the
 //     per-element reduction order never depends on the row partition) and
-//     repeat-call determinism.
+//     repeat-call determinism, including the transposed-B GEMM that packs
+//     B once before its row split.
 //  4. Dispatch controls: SetSimdEnabledForTesting and SimdBackendName.
 //  5. ops::FusedAttention gradients at model shapes (d = 32), whose
 //     backward products run on the AVX2 GEMM strips under SIMD.
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -282,6 +284,53 @@ TEST(SimdDeterminism, BitIdenticalAcrossThreadCountsAndRepeats) {
   kernels::SetNumThreads(1);
   EXPECT_EQ(serial, threaded);
   EXPECT_EQ(threaded, threaded_again);
+}
+
+TEST(SimdDeterminism, TransposedBBitIdenticalAcrossThreadCountsAndRepeats) {
+  // A transposed B (A not transposed) is packed to [k,n] once per call,
+  // before the row split, and every chunk reads the shared copy. Shapes:
+  // the attention backward's dP at n = 100, a tail shape with no full
+  // vector in k, and a batched dP.
+  ScopedSimd guard(1);
+  struct Case {
+    int64_t batch, m, k, n;
+  };
+  const std::vector<Case> cases = {
+      {0, 100, 32, 100}, {0, 37, 13, 29}, {3, 44, 32, 44}};
+  for (const Case& s : cases) {
+    const int64_t slices = std::max<int64_t>(1, s.batch);
+    const auto a = RandomVec(static_cast<size_t>(slices * s.m * s.k), 601,
+                             0.5f);
+    const auto b = RandomVec(static_cast<size_t>(slices * s.n * s.k), 602,
+                             0.5f);
+    const auto c0 = RandomVec(static_cast<size_t>(slices * s.m * s.n), 603,
+                              0.5f);
+    for (bool accumulate : {false, true}) {
+      auto run = [&] {
+        std::vector<float> c = c0;
+        if (s.batch == 0) {
+          kernels::Gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n, false,
+                        true, accumulate);
+        } else {
+          kernels::BatchedGemm(a.data(), b.data(), c.data(), s.batch, s.m,
+                               s.k, s.n, false, true, accumulate);
+        }
+        return c;
+      };
+      kernels::SetNumThreads(1);
+      const auto serial = run();
+      kernels::SetNumThreads(4);
+      const auto threaded = run();
+      const auto threaded_again = run();
+      kernels::SetNumThreads(1);
+      const std::string what =
+          "batch=" + std::to_string(s.batch) + " m=" + std::to_string(s.m) +
+          " k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
+          " acc=" + std::to_string(accumulate);
+      EXPECT_EQ(serial, threaded) << what;
+      EXPECT_EQ(threaded, threaded_again) << what;
+    }
+  }
 }
 
 TEST(SimdDispatch, OverrideAndBackendName) {

@@ -16,7 +16,8 @@
 # scoring tasks (catalog stage one included) and batched sub-batch
 # forwards on the kernel pool, pool-run candidate generation, admission
 # blocking/shedding, shutdown promise sweeps, the lock-free metrics
-# registry, the thread pool itself, and the attention and AVX2 Gemm
+# registry, the thread pool itself, the Adam step and gradient clip
+# ("pool" holds the optimizer suite), and the attention and AVX2 Gemm
 # kernels that training still splits across the pool.
 # `ctest --preset <name> -N` lists each preset's tests.
 set -euo pipefail
