@@ -1,7 +1,24 @@
 // Microbenchmarks for the geographic substrate (google-benchmark).
+//
+// The BM_Metro* rows query the metro catalog the way its callers do
+// (MetroScaleConfig(1.0) with 64 users: 10^5 POIs, 2 km cells): at every
+// second check-in of each user's history, the pool nearest POIs the user
+// has not visited (serving's catalog stage one at pool 500; pool 100 is
+// the evaluation protocol's size), and the 1.5 km neighbourhood the
+// generator draws local moves from. Each iteration is one query; the
+// fixture takes about a second to generate.
+//
+//   ./build/bench/bench_micro_geo --benchmark_filter=Metro
+//       --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
+//   (one command line)
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <unordered_set>
+#include <vector>
+
+#include "data/synthetic.h"
 #include "geo/geo.h"
 #include "geo/quadkey.h"
 #include "geo/spatial_index.h"
@@ -67,6 +84,65 @@ void BM_WithinRadius(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WithinRadius);
+
+struct MetroQueries {
+  std::unique_ptr<SpatialGridIndex> index;
+  std::vector<GeoPoint> points;
+  std::vector<std::unordered_set<int64_t>> visited;  // POI ids, 1-based
+};
+
+const MetroQueries& Metro() {
+  static const MetroQueries* const metro = [] {
+    auto* m = new MetroQueries;
+    data::SyntheticConfig cfg = data::MetroScaleConfig(1.0);
+    cfg.num_users = 64;
+    const data::Dataset ds = data::GenerateSynthetic(cfg);
+    m->index = std::make_unique<SpatialGridIndex>(
+        std::vector<GeoPoint>(ds.poi_coords.begin() + 1, ds.poi_coords.end()),
+        2.0);
+    for (const auto& seq : ds.user_seqs) {
+      std::unordered_set<int64_t> visited;
+      for (size_t t = 0; t < seq.size(); ++t) {
+        visited.insert(seq[t].poi);
+        if (t % 2 == 0) continue;
+        m->points.push_back(ds.poi_location(seq[t].poi));
+        m->visited.push_back(visited);
+      }
+    }
+    return m;
+  }();
+  return *metro;
+}
+
+void BM_MetroKnnUnvisited(benchmark::State& state) {
+  const MetroQueries& m = Metro();
+  SpatialGridIndex::QueryScratch scratch;
+  std::vector<int64_t> pool;
+  size_t i = 0;
+  for (auto _ : state) {
+    const std::unordered_set<int64_t>& visited = m.visited[i];
+    m.index->KNearestInto(
+        m.points[i], state.range(0),
+        [&visited](int64_t id) { return !visited.contains(id + 1); },
+        &scratch, &pool);
+    benchmark::DoNotOptimize(pool.data());
+    i = (i + 1) % m.points.size();
+  }
+}
+BENCHMARK(BM_MetroKnnUnvisited)
+    ->Arg(100)
+    ->Arg(500)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_MetroWithinRadius(benchmark::State& state) {
+  const MetroQueries& m = Metro();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.index->WithinRadius(m.points[i], 1.5));
+    i = (i + 1) % m.points.size();
+  }
+}
+BENCHMARK(BM_MetroWithinRadius)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace stisan::geo

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -20,6 +21,8 @@ struct World {
   /// Movement-sampling weight per POI: Zipf popularity raised to
   /// popularity_weight, computed once per world.
   std::vector<double> poi_weight;
+  /// Sum of poi_weight[1..P] in id order (Rng::Categorical's order).
+  double poi_weight_total = 0.0;
   std::vector<std::vector<int64_t>> cluster_pois;
 };
 
@@ -58,18 +61,17 @@ World BuildWorld(const SyntheticConfig& cfg, Rng& rng,
         double(rank[static_cast<size_t>(p - 1)] + 1), -cfg.poi_zipf_alpha);
     world.poi_weight[static_cast<size_t>(p)] =
         std::pow(popularity, cfg.popularity_weight);
+    world.poi_weight_total += world.poi_weight[static_cast<size_t>(p)];
   }
   return world;
 }
 
-// Samples a POI id from `candidates` weighted by World::poi_weight.
-int64_t SampleByPopularity(const std::vector<int64_t>& candidates,
-                           const World& world, Rng& rng) {
-  STISAN_CHECK(!candidates.empty());
-  std::vector<double> w(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i)
-    w[i] = world.poi_weight[static_cast<size_t>(candidates[i])];
-  return candidates[rng.Categorical(w)];
+// Samples a POI id from the whole catalog weighted by World::poi_weight,
+// walking the weights in place against the total summed once per world.
+int64_t SamplePopularPoi(const World& world, Rng& rng) {
+  return 1 + static_cast<int64_t>(rng.Categorical(
+                 std::span<const double>(world.poi_weight).subspan(1),
+                 world.poi_weight_total));
 }
 
 // Samples weighted by World::poi_weight x exp(-distance / decay_km),
@@ -200,7 +202,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
           const auto& origin = ds.poi_coords[static_cast<size_t>(current)];
           auto near_ids = index.WithinRadius(origin, cfg.nearby_radius_km);
           if (near_ids.empty()) {
-            next = SampleByPopularity(all_pois, world, user_rng);
+            next = SamplePopularPoi(world, user_rng);
           } else {
             std::vector<int64_t> near_pois(near_ids.size());
             for (size_t k = 0; k < near_ids.size(); ++k)
@@ -217,7 +219,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
           next = favorites[user_rng.UniformInt(
               static_cast<uint64_t>(favorites.size()))];
         } else {
-          next = SampleByPopularity(all_pois, world, user_rng);
+          next = SamplePopularPoi(world, user_rng);
         }
         seq.push_back({next, t});
         previous = current;
@@ -244,7 +246,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
             anchor_pools[a], world, ds.poi_coords, anchor_centers[a],
             cfg.anchor_decay_km, user_rng);
       } else {
-        next = SampleByPopularity(all_pois, world, user_rng);
+        next = SamplePopularPoi(world, user_rng);
       }
       seq.push_back({next, t});
       previous = 0;  // a long gap resets the movement direction

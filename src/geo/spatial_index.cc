@@ -16,14 +16,97 @@ constexpr double kDegToRad = M_PI / 180.0;
 // search before a true nearest neighbour is found.
 constexpr double kKmPerDegLat = 111.32;
 constexpr double kKmPerDegArc = kEarthRadiusKm * kDegToRad;
+
+// Margins on both gap thresholds: relative for the rounding of the trig
+// functions, absolute for the argument rounding of a longitude difference
+// near +-360 deg. Both are orders of magnitude above either error.
+constexpr double kRelMargin = 1e-9;
+constexpr double kAbsMarginDeg = 1e-12;
+// The bound applies only below 3 R (~19,100 km): closer to the antipode
+// HaversineKm's arcsine is ill-conditioned and its rounding could exceed
+// the margins.
+constexpr double kBoundMaxKm = 3.0 * kEarthRadiusKm;
+// The longitude threshold costs four transcendental calls, so k-NN
+// recomputes it only once the cut-off has fallen below this fraction of
+// the distance it was computed for (a threshold for a larger distance
+// still holds).
+constexpr double kLonRefresh = 0.97;
+
+// Gap thresholds for "farther than d_km from the query" (DESIGN.md §17).
+// Haversine's h is >= sin^2(dlat/2), so a point within d has
+// |dlat| <= d/R; and h >= cos(lat_q) cos(lat_p) sin^2(dlon/2) with
+// |lat_p| <= |lat_q| + d/R, which bounds the folded longitude gap. With
+// the margins, a point beyond either threshold has HaversineKm > d, so
+// both the k-NN test `dist < d` and the radius test `dist <= d` reject it:
+// skipping it changes no result.
+class GapBound {
+ public:
+  explicit GapBound(const GeoPoint& query)
+      : query_(query), cos_query_(std::cos(query.lat * kDegToRad)) {}
+
+  bool Excludes(const GeoPoint& p) const {
+    if (std::fabs(p.lat - query_.lat) > max_dlat_deg_) return true;
+    const double dlon = std::fabs(p.lon - query_.lon);
+    return std::min(dlon, 360.0 - dlon) > max_dlon_deg_;
+  }
+
+  // One multiply: done whenever the cut-off changes.
+  void SetLatitude(double d_km) {
+    max_dlat_deg_ =
+        d_km < kBoundMaxKm
+            ? d_km / kKmPerDegArc * (1.0 + kRelMargin) + kAbsMarginDeg
+            : kInf;
+  }
+
+  // Requires SetLatitude(d_km) first (or for a larger d_km).
+  void SetLongitude(double d_km) {
+    lon_d_km_ = d_km;
+    max_dlon_deg_ = kInf;
+    if (!(d_km < kBoundMaxKm)) return;
+    // cos(lat_q) is computed exactly as HaversineKm computes it; the
+    // farthest latitude a point within d can have carries the latitude
+    // margins, which dominate the argument rounding of its cosine.
+    const double far_lat =
+        std::min(90.0, std::fabs(query_.lat) + max_dlat_deg_);
+    const double cos_product = cos_query_ * std::cos(far_lat * kDegToRad);
+    if (!(cos_product > 0.0)) return;  // a pole is within reach
+    const double x =
+        std::sin(0.5 * d_km / kEarthRadiusKm) / std::sqrt(cos_product);
+    // Every longitude is within reach, or close enough to it that asin is
+    // ill-conditioned.
+    if (!(x < 1.0 - kRelMargin)) return;
+    max_dlon_deg_ =
+        2.0 * std::asin(x) / kDegToRad * (1.0 + kRelMargin) + kAbsMarginDeg;
+  }
+
+  // Distance the longitude threshold was last computed for.
+  double longitude_km() const { return lon_d_km_; }
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  GeoPoint query_;
+  double cos_query_;
+  double max_dlat_deg_ = kInf;
+  double max_dlon_deg_ = kInf;
+  double lon_d_km_ = kInf;
+};
 }  // namespace
 
 SpatialGridIndex::SpatialGridIndex(std::vector<GeoPoint> points,
-                                   double cell_km)
-    : points_(std::move(points)) {
+                                   double cell_km) {
   STISAN_CHECK_GT(cell_km, 0.0);
-  for (const auto& p : points_) bounds_.Extend(p);
-  if (points_.empty()) {
+  for (size_t i = 0; i < points.size(); ++i) {
+    const GeoPoint& p = points[i];
+    // isfinite also rejects NaN, which slips through plain range compares.
+    STISAN_CHECK_MSG(std::isfinite(p.lat) && std::isfinite(p.lon) &&
+                         p.lat >= -90.0 && p.lat <= 90.0 &&
+                         p.lon >= -180.0 && p.lon <= 180.0,
+                     "SpatialGridIndex: point " << i << " at " << ToString(p)
+                         << " needs a finite lat in [-90, 90] and lon in "
+                            "[-180, 180]");
+    bounds_.Extend(p);
+  }
+  if (points.empty()) {
     rows_ = cols_ = 1;
     cell_deg_lat_ = cell_deg_lon_ = 1.0;
     return;
@@ -49,13 +132,14 @@ SpatialGridIndex::SpatialGridIndex(std::vector<GeoPoint> points,
                              std::cos(bounds_.max_lat * kDegToRad)));
   lon_span_deg_ = bounds_.max_lon - bounds_.min_lon;
 
-  // Group point ids by cell without materialising the grid: count per
-  // occupied cell, carve [offset, offset+count) slices out of one flat
-  // array, then fill in point order (so ids within a cell keep insertion
-  // order, exactly as the former dense vector<vector> layout).
-  std::vector<int64_t> cell_of(points_.size());
-  for (size_t i = 0; i < points_.size(); ++i) {
-    cell_of[i] = CellIndex(CellRow(points_[i].lat), CellCol(points_[i].lon));
+  // Group points by cell without materialising the grid: count per
+  // occupied cell, carve [offset, offset+count) slices out of flat arrays,
+  // then fill in point order (so ids within a cell keep insertion order,
+  // exactly as the former dense vector<vector> layout). Each id's
+  // coordinates go to the same position, so a cell is one sequential read.
+  std::vector<int64_t> cell_of(points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    cell_of[i] = CellIndex(CellRow(points[i].lat), CellCol(points[i].lon));
     auto [it, inserted] = cells_.try_emplace(cell_of[i], 0, 0);
     ++it->second.second;
   }
@@ -65,11 +149,12 @@ SpatialGridIndex::SpatialGridIndex(std::vector<GeoPoint> points,
     offset += span.second;
     span.second = span.first;  // reused as the fill cursor below
   }
-  cell_point_ids_.resize(points_.size());
-  for (size_t i = 0; i < points_.size(); ++i) {
-    auto& span = cells_[cell_of[i]];
-    cell_point_ids_[static_cast<size_t>(span.second++)] =
-        static_cast<int64_t>(i);
+  cell_point_ids_.resize(points.size());
+  cell_points_.resize(points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    const size_t slot = static_cast<size_t>(cells_[cell_of[i]].second++);
+    cell_point_ids_[slot] = static_cast<int64_t>(i);
+    cell_points_[slot] = points[i];
   }
   // span.second now holds one-past-the-end, i.e. (offset, end) pairs.
 }
@@ -90,8 +175,8 @@ SpatialGridIndex::CellSpan SpatialGridIndex::Cell(int64_t row,
                                                   int64_t col) const {
   const auto it = cells_.find(CellIndex(row, col));
   if (it == cells_.end()) return {};
-  const int64_t* base = cell_point_ids_.data();
-  return {base + it->second.first, base + it->second.second};
+  return {static_cast<size_t>(it->second.first),
+          static_cast<size_t>(it->second.second)};
 }
 
 double SpatialGridIndex::RingLowerBoundKm(int64_t ring) const {
@@ -130,7 +215,7 @@ void SpatialGridIndex::KNearestInto(
     const std::function<bool(int64_t)>& accept, QueryScratch* scratch,
     std::vector<int64_t>* out) const {
   out->clear();
-  if (k <= 0 || points_.empty()) return;
+  if (k <= 0 || cell_points_.empty()) return;
   // Expanding ring search: examine cells in increasing Chebyshev ring order
   // around the query cell; stop when the found set is full and the next
   // ring cannot contain anything closer.
@@ -139,6 +224,14 @@ void SpatialGridIndex::KNearestInto(
 
   auto& heap = scratch->heap;  // max-heap of the best k (distance, id)
   heap.clear();
+  // Excludes nothing until the heap holds k points; from then on it skips
+  // points that cannot beat the current k-th distance.
+  GapBound bound(query);
+  const auto tighten = [&bound, &heap] {
+    const double top = heap.front().first;
+    bound.SetLatitude(top);
+    if (top < kLonRefresh * bound.longitude_km()) bound.SetLongitude(top);
+  };
 
   const int64_t max_ring = std::max(rows_, cols_);
   for (int64_t ring = 0; ring <= max_ring; ++ring) {
@@ -159,18 +252,21 @@ void SpatialGridIndex::KNearestInto(
         if (c < 0 || c >= cols_) continue;
         ring_in_bounds = true;
         const CellSpan span = Cell(r, c);
-        for (const int64_t* it = span.begin; it != span.end; ++it) {
-          const int64_t id = *it;
+        for (size_t i = span.begin; i < span.end; ++i) {
+          const GeoPoint& p = cell_points_[i];
+          if (bound.Excludes(p)) continue;
+          const int64_t id = cell_point_ids_[i];
           if (accept && !accept(id)) continue;
-          const double dist =
-              HaversineKm(query, points_[static_cast<size_t>(id)]);
+          const double dist = HaversineKm(query, p);
           if (static_cast<int64_t>(heap.size()) < k) {
             heap.emplace_back(dist, id);
             std::push_heap(heap.begin(), heap.end());
+            if (static_cast<int64_t>(heap.size()) == k) tighten();
           } else if (dist < heap.front().first) {
             std::pop_heap(heap.begin(), heap.end());
             heap.back() = {dist, id};
             std::push_heap(heap.begin(), heap.end());
+            tighten();
           }
         }
       }
@@ -192,7 +288,7 @@ void SpatialGridIndex::KNearestInto(
 std::vector<int64_t> SpatialGridIndex::WithinRadius(
     const GeoPoint& query, double radius_km) const {
   std::vector<int64_t> out;
-  if (points_.empty()) return out;
+  if (cell_points_.empty()) return out;
   // Cells are cell_km tall in latitude by construction; their longitudinal
   // width in km narrows toward the poles — size the scan with the minimum
   // width over the grid's latitude range plus a safety cell, clamped to the
@@ -210,15 +306,19 @@ std::vector<int64_t> SpatialGridIndex::WithinRadius(
   const int64_t ring_lon = scan_cells(radius_km, cell_km_lon, cols_);
   const int64_t qr = CellRow(query.lat);
   const int64_t qc = CellCol(query.lon);
+  // Fixed cut-off: a point beyond either gap is farther than radius_km.
+  GapBound bound(query);
+  bound.SetLatitude(radius_km);
+  bound.SetLongitude(radius_km);
   for (int64_t r = std::max<int64_t>(0, qr - ring_lat);
        r <= std::min(rows_ - 1, qr + ring_lat); ++r) {
     for (int64_t c = std::max<int64_t>(0, qc - ring_lon);
          c <= std::min(cols_ - 1, qc + ring_lon); ++c) {
       const CellSpan span = Cell(r, c);
-      for (const int64_t* it = span.begin; it != span.end; ++it) {
-        if (HaversineKm(query, points_[static_cast<size_t>(*it)]) <=
-            radius_km) {
-          out.push_back(*it);
+      for (size_t i = span.begin; i < span.end; ++i) {
+        const GeoPoint& p = cell_points_[i];
+        if (!bound.Excludes(p) && HaversineKm(query, p) <= radius_km) {
+          out.push_back(cell_point_ids_[i]);
         }
       }
     }

@@ -9,6 +9,14 @@
 // cells addresses hundreds of millions of grid cells but only materialises
 // the occupied ones. Point ids within a cell keep insertion order, so query
 // results are deterministic and identical to the former dense-grid layout.
+// Coordinates are stored once, in cell order beside the ids, so a query
+// reads each cell sequentially.
+//
+// Both searches skip a point before `accept` and before HaversineKm once
+// its latitude or longitude gap to the query proves it farther than the
+// current cut-off (the k-th best distance, or the radius). A skipped point
+// is one the search would have rejected anyway, so results, ties and
+// output order are those of testing every point (DESIGN.md §17).
 
 #pragma once
 
@@ -26,7 +34,9 @@ namespace stisan::geo {
 class SpatialGridIndex {
  public:
   /// Builds an index over `points`. `cell_km` controls grid resolution;
-  /// smaller cells speed up small-k queries on dense data.
+  /// smaller cells speed up small-k queries on dense data. CHECK-fails on
+  /// a coordinate that is not finite or lies outside lat [-90, 90],
+  /// lon [-180, 180] (the CSV loader's rule).
   explicit SpatialGridIndex(std::vector<GeoPoint> points,
                             double cell_km = 2.0);
 
@@ -41,7 +51,10 @@ class SpatialGridIndex {
   /// Returns the ids of the `k` nearest points to `query`, ascending by
   /// Haversine distance. Points for which `accept` returns false are
   /// skipped (pass nullptr to accept everything). Returns fewer than k ids
-  /// when not enough acceptable points exist.
+  /// when not enough acceptable points exist. `accept` is called only on
+  /// points that could still enter the result, a subset of the points the
+  /// search visits, in an order that may change between versions; it must
+  /// be pure (no side effects, the same answer for the same id).
   std::vector<int64_t> KNearest(
       const GeoPoint& query, int64_t k,
       const std::function<bool(int64_t)>& accept = nullptr) const;
@@ -56,10 +69,7 @@ class SpatialGridIndex {
   std::vector<int64_t> WithinRadius(const GeoPoint& query,
                                     double radius_km) const;
 
-  int64_t size() const { return static_cast<int64_t>(points_.size()); }
-  const GeoPoint& point(int64_t id) const {
-    return points_[static_cast<size_t>(id)];
-  }
+  int64_t size() const { return static_cast<int64_t>(cell_point_ids_.size()); }
   /// Number of materialised (occupied) cells.
   int64_t occupied_cells() const {
     return static_cast<int64_t>(cells_.size());
@@ -68,10 +78,10 @@ class SpatialGridIndex {
   int64_t addressable_cells() const { return rows_ * cols_; }
 
  private:
-  /// Contiguous slice of cell_point_ids_ belonging to one cell.
+  /// [begin, end) positions of one cell in cell_point_ids_/cell_points_.
   struct CellSpan {
-    const int64_t* begin = nullptr;
-    const int64_t* end = nullptr;
+    size_t begin = 0;
+    size_t end = 0;
   };
 
   int64_t CellRow(double lat) const;
@@ -84,7 +94,6 @@ class SpatialGridIndex {
   /// Chebyshev ring `ring` around the query's cell.
   double RingLowerBoundKm(int64_t ring) const;
 
-  std::vector<GeoPoint> points_;
   BoundingBox bounds_;
   double cell_deg_lat_ = 0.0;
   double cell_deg_lon_ = 0.0;
@@ -95,9 +104,11 @@ class SpatialGridIndex {
   /// bound must never overestimate how far the next ring is.
   double min_cos_lat_ = 1.0;
   double lon_span_deg_ = 0.0;
-  /// Point ids grouped by cell (insertion order within a cell), plus the
-  /// sparse map from cell index to the [offset, offset+count) slice.
+  /// Point ids grouped by cell (insertion order within a cell), their
+  /// coordinates at the same positions, and the sparse map from cell index
+  /// to the [offset, end) slice.
   std::vector<int64_t> cell_point_ids_;
+  std::vector<GeoPoint> cell_points_;
   std::unordered_map<int64_t, std::pair<int64_t, int64_t>> cells_;
 };
 

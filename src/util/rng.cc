@@ -95,6 +95,10 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
     STISAN_CHECK_GE(w, 0.0);
     total += w;
   }
+  return Categorical(std::span<const double>(weights), total);
+}
+
+size_t Rng::Categorical(std::span<const double> weights, double total) {
   STISAN_CHECK_GT(total, 0.0);
   double r = Uniform() * total;
   for (size_t i = 0; i < weights.size(); ++i) {

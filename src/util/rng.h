@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,6 +53,11 @@ class Rng {
   /// Samples an index from unnormalised non-negative weights.
   /// Requires at least one strictly positive weight.
   size_t Categorical(const std::vector<double>& weights);
+
+  /// Categorical over `weights` whose sum in index order is `total` (> 0),
+  /// for a caller that draws repeatedly from one table: the same draw and
+  /// walk as the vector form, without summing or copying the table.
+  size_t Categorical(std::span<const double> weights, double total);
 
   /// Shuffles a vector in place (Fisher-Yates).
   template <typename T>

@@ -489,6 +489,32 @@ TEST_F(ServeRobustnessTest, ConstructionRejectsCoordsNotMatchingCatalog) {
   EXPECT_DEATH({ RecommendService service(&model, so); }, "poi_coords");
 }
 
+// A NaN coordinate reached an out-of-range float-to-integer conversion
+// while the catalog index was built, then put NaN distances into stage
+// one's heap. The index refuses what the CSV loader refuses: a coordinate
+// that is not finite, or outside lat [-90, 90] / lon [-180, 180].
+TEST_F(ServeRobustnessTest, ConstructionRejectsInvalidCoordinates) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::StisanModel model(ds_, TinyStisanOptions());
+  ServeOptions so;
+  so.start_worker = false;
+  so.num_pois = ds_.num_pois();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const geo::GeoPoint bad : {geo::GeoPoint{nan, 10.0},
+                                  geo::GeoPoint{10.0, nan},
+                                  geo::GeoPoint{10.0, -inf},
+                                  geo::GeoPoint{90.5, 10.0},
+                                  geo::GeoPoint{10.0, 180.25}}) {
+    std::vector<geo::GeoPoint> coords = ds_.poi_coords;
+    coords[3] = bad;
+    so.poi_coords = &coords;
+    EXPECT_DEATH({ RecommendService service(&model, so); },
+                 "point 2 at .* needs a finite lat")
+        << geo::ToString(bad);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 4. Admission control.
 // ---------------------------------------------------------------------------
